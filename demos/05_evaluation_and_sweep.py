@@ -22,7 +22,6 @@ from latentsteer import (
     run_training,
     sweep_entanglement,
 )
-from latentsteer.pipeline import check_eval_ordering
 
 ent = np.array([[1.0, 0.57], [0.57, 1.0]])
 attrs = (
@@ -39,7 +38,6 @@ latent = eval_latent_modification(bundle, world, 5000, EvalConfig(seed=99))
 e2e = eval_end_to_end(bundle, world, 5000, EvalConfig(seed=99))
 print("\n" + latent.render())
 print("\n" + e2e.render())
-check_eval_ordering(latent, e2e)
 
 print("\nsweep: joint accuracy vs configured direction cosine")
 cfg = SweepConfig(dim=32, seed=0, train=TrainingConfig(learning_rate=1.0, epochs=600, seed=1))

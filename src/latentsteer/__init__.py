@@ -8,12 +8,13 @@ generator so every piece can be validated exactly.
 """
 
 from .director import (
+    BatchUpdate,
     ChooseVector,
     ConditioningSpec,
     DirectorConfig,
     UpdateReport,
-    choose_vector,
     condition,
+    condition_batch,
     latent_labels,
 )
 from .errors import (
@@ -29,7 +30,6 @@ from .errors import (
     WorldConfigError,
 )
 from .geometry import (
-    DirectionMatrix,
     Hyperplane,
     as_latent,
     cosine_similarity,
@@ -51,8 +51,6 @@ from .models import (
     fit_binary,
     fit_multiclass,
     fit_regressor,
-    predict_discrete,
-    predict_value,
 )
 from .pipeline import (
     CosineReport,

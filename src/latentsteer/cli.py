@@ -30,6 +30,7 @@ from .persist import (
     _read_json,
 )
 from .pipeline import (
+    CosineReport,
     EvalConfig,
     SweepConfig,
     cosine_report,
@@ -107,13 +108,6 @@ def parse_conditioning(cond: str, schema) -> ConditioningSpec:
     return ConditioningSpec(discrete, continuous)
 
 
-def _print_matrix(names, matrix) -> None:
-    width = max(12, max((len(n) for n in names), default=0) + 2)
-    print(" " * width + "".join(f"{n:>{width}}" for n in names))
-    for i, name in enumerate(names):
-        print(f"{name:<{width}}" + "".join(f"{matrix[i, j]:>{width}.3f}" for j in range(len(names))))
-
-
 def cmd_world_init(args) -> int:
     payload = _read_json(args.config)
     cfg = parse_world_config(payload, where=str(args.config))
@@ -122,7 +116,7 @@ def cmd_world_init(args) -> int:
     names = [name if cls is None else f"{name}:{cls}" for name, cls in world.slots]
     print(f"world written to {args.out}")
     print("realized entanglement (pairwise direction cosines):")
-    _print_matrix(names, world.realized_entanglement())
+    print(CosineReport(tuple(names), world.realized_entanglement()).render())
     return 0
 
 
@@ -179,18 +173,15 @@ def cmd_eval(args) -> int:
     world = load_world(args.world)
     if args.mode == "cosine":
         report = cosine_report(bundle)
-        print(report.render())
-        csv_text = report.csv_text()
     else:
         if args.trials < 1:
             raise ConditioningError(f"--trials must be at least 1, got {args.trials}")
         cfg = EvalConfig(seed=args.seed, director=_director_config(args), rounds=args.rounds)
         runner = eval_latent_modification if args.mode == "latent" else eval_end_to_end
         report = runner(bundle, world, args.trials, cfg)
-        print(report.render())
-        csv_text = report.csv_text()
+    print(report.render())
     if args.out_csv:
-        Path(args.out_csv).write_text(csv_text, encoding="utf-8")
+        Path(args.out_csv).write_text(report.csv_text(), encoding="utf-8")
         print(f"csv written to {args.out_csv}")
     return 0
 

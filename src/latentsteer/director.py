@@ -1,8 +1,8 @@
 """Single-step conditioning of latent vectors.
 
-Given a latent vector, a set of desired attribute values, and a bundle of
-fitted latent models, `condition` computes one combined update that moves
-the vector into the desired attribute subspaces:
+Given a batch of latent vectors, desired attribute values per row, and a
+bundle of fitted latent models, `condition_batch` computes one combined
+update per row that moves it into the desired attribute subspaces:
 
   * each mismatched binary attribute contributes a move along its
     hyperplane's unit normal that crosses the boundary and lands a margin
@@ -18,25 +18,24 @@ All contributions are summed and applied once. The "paper_literal" modes
 preserve the uncorrected update formulas (negated crossing step, move length
 not divided by the slope norm) so their failure to condition can be
 measured against the corrected defaults.
+
+`condition_batch` is the only steering code: it works on the bundle compiled
+into one stacked affine map (`ModelBundle.compiled`). `condition` steers a
+batch of one and reports it in detail, and `latent_labels` is the same label
+readout on one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, DegenerateModelError
-from .geometry import DirectionMatrix, Hyperplane, as_latent, signed_distance, unit_direction
-from .models import (
-    BINARY,
-    MULTICLASS,
-    AttributeSchema,
-    BinaryLatentClassifier,
-    ModelBundle,
-    MultiClassLatentClassifier,
-)
+from .errors import ConditioningError, DegenerateModelError, DimensionMismatchError
+from .geometry import as_latent
+from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, CompiledBundle, ModelBundle
 from .world import AttributeLabels
 
 __all__ = [
@@ -48,9 +47,10 @@ __all__ = [
     "ChooseVector",
     "DirectorConfig",
     "UpdateReport",
+    "BatchUpdate",
     "latent_labels",
-    "choose_vector",
     "condition",
+    "condition_batch",
 ]
 
 SIGN_CORRECTED = "corrected"
@@ -156,34 +156,68 @@ class UpdateReport:
         return not np.array_equal(self.z, self.z_prime)
 
 
+@dataclass(frozen=True)
+class BatchUpdate:
+    """One conditioning step over a batch: row i of each array belongs to Z[i] and specs[i].
+
+    A row that received no update is a bit-exact copy of its input.
+    `satisfied` is computed on first use; `condition` never needs it.
+    """
+
+    compiled: CompiledBundle
+    targets: tuple[np.ndarray, ...]             # per block: class index (-1: unset) or value (NaN: unset)
+    z_prime: np.ndarray                         # (n, dim)
+    moved: np.ndarray                           # (n,) the row received an update
+    scores_before: np.ndarray                   # (n, R) compiled affine scores at Z
+    scores_after: np.ndarray                    # (n, R) the same at z_prime
+    mismatch: Mapping[str, np.ndarray]          # discrete attribute -> (n,) target set and unmet
+    multiclass_moves: Mapping[str, np.ndarray]  # multiclass attribute -> (n,) redirects made
+
+    @cached_property
+    def satisfied(self) -> np.ndarray:
+        """(n,) every target met at z_prime: the class, or the value within 1e-9."""
+        met = np.ones(len(self.z_prime), dtype=bool)
+        for (_, kind, rows, _), target in zip(self.compiled.blocks, self.targets):
+            after = self.scores_after[:, rows]
+            if kind == CONTINUOUS:
+                met &= np.isnan(target) | (np.abs(after[:, 0] - target) <= 1e-9)
+            else:
+                met &= (target < 0) | (_decide(kind, after) == target)
+        return met
+
+
+def _scores(m: CompiledBundle, Z: np.ndarray) -> np.ndarray:
+    # einsum rather than Z @ W.T: BLAS rounds a row differently depending on
+    # how many rows share the call, while einsum rounds it the same way alone
+    # or in a batch, so condition(z) equals its row of condition_batch
+    if not m.blocks:
+        return np.zeros((len(Z), 0))
+    return np.einsum("nd,rd->nr", Z, m.weights) + m.intercepts
+
+
+def _decide(kind: str, block: np.ndarray) -> np.ndarray:
+    """Class index per row of one discrete attribute's scores: the one tie rule.
+
+    A binary score of 0 or more is the positive class (index 1); multiclass
+    argmax ties go to the lowest class index.
+    """
+    return (block[:, 0] >= 0.0).astype(np.intp) if kind == BINARY else np.argmax(block, axis=1)
+
+
+def _labels(m: CompiledBundle, S: np.ndarray) -> list[AttributeLabels]:
+    """Attribute readout of every row of scores."""
+    discrete = [(name, classes, _decide(kind, S[:, rows]))
+                for name, kind, rows, classes in m.blocks if kind != CONTINUOUS]
+    continuous = [(name, S[:, rows.start]) for name, kind, rows, _ in m.blocks if kind == CONTINUOUS]
+    return [AttributeLabels({name: classes[idx[i]] for name, classes, idx in discrete},
+                            {name: float(values[i]) for name, values in continuous})
+            for i in range(len(S))]
+
+
 def latent_labels(bundle: ModelBundle, z) -> AttributeLabels:
     """Predicted class per discrete attribute and value per continuous one."""
-    if bundle.schema:
-        z = as_latent(z, bundle.latent_dim)
-    discrete: dict[str, str] = {}
-    continuous: dict[str, float] = {}
-    for attr in bundle.schema:
-        model = bundle.model_for(attr.name)
-        if attr.is_discrete:
-            discrete[attr.name] = model.predict(z)
-        else:
-            continuous[attr.name] = model.predict(z)
-    return AttributeLabels(discrete, continuous)
-
-
-def choose_vector(targets: Mapping[str, str], current: Mapping[str, str]) -> ChooseVector:
-    """1 per attribute whose specified target differs from its current class."""
-    unknown = sorted(set(targets) - set(current))
-    if unknown:
-        raise ConditioningError(
-            f"targets name unknown attributes {unknown}; known: {sorted(current)}"
-        )
-    names = tuple(current)
-    bits = tuple(
-        1 if (name in targets and targets[name] != current[name]) else 0
-        for name in names
-    )
-    return ChooseVector(names, bits)
+    m = bundle.compiled
+    return _labels(m, _scores(m, as_latent(z, m.dim)[None, :]))[0]
 
 
 def _validate_spec(spec: ConditioningSpec, schema: tuple[AttributeSchema, ...]) -> None:
@@ -216,148 +250,159 @@ def _validate_spec(spec: ConditioningSpec, schema: tuple[AttributeSchema, ...]) 
             )
 
 
-def _binary_coefficient(z: np.ndarray, model: BinaryLatentClassifier, desired: str,
-                        cfg: DirectorConfig) -> float:
-    """Step length along the hyperplane's unit normal for a chosen binary attribute."""
-    s = signed_distance(z, model.hyperplane)
-    if cfg.sign_convention == SIGN_PAPER_LITERAL:
-        return -(s + cfg.delta_margin)
-    # crossing step: land delta_margin past the boundary on the desired side.
-    # sigma equals sign(s) except exactly on the boundary, where the desired
-    # side disambiguates.
-    sigma = 1.0 if desired == model.positive_class else -1.0
-    return s + sigma * cfg.delta_margin
+def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercepts: np.ndarray,
+              classes: tuple[str, ...], cfg: DirectorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Multiclass move of each row toward its desired class index, and its redirect count.
 
-
-def _multiclass_move(z: np.ndarray, model: MultiClassLatentClassifier, desired: str,
-                     cfg: DirectorConfig) -> tuple[np.ndarray, int, float, Hyperplane]:
-    """Accumulated move toward `desired`, the move count, and the first crossing geometry."""
-    z_work = np.array(z, dtype=np.float64)
-    moves = 0
-    first_distance = 0.0
-    first_plane: Hyperplane | None = None
+    Each round takes every row whose argmax is not yet the desired class
+    across the (desired, current) pairwise boundary, delta_margin past it,
+    in either sign_convention; at most multiclass_max_redirects rounds.
+    """
+    z_work = Z.copy()
+    count = np.zeros(len(Z), dtype=np.intp)
+    active = np.arange(len(Z))
     for _ in range(cfg.multiclass_max_redirects):
-        current = model.predict(z_work)
-        if current == desired:
+        current = _decide(MULTICLASS, np.einsum("nd,kd->nk", z_work[active], weights) + intercepts)
+        keep = current != desired[active]
+        active, current = active[keep], current[keep]
+        if not active.size:
             break
-        h = model.pairwise_hyperplane(desired, current)
-        if float(np.linalg.norm(h.direction)) == 0.0:
+        want = desired[active]
+        w = weights[want] - weights[current]
+        norm = np.sqrt(np.einsum("nd,nd->n", w, w))
+        if not norm.all():
+            i = int(np.argmin(norm))
             raise DegenerateModelError(
-                f"classes {desired!r} and {current!r} share identical weights"
+                f"classes {classes[want[i]]!r} and {classes[current[i]]!r} share identical weights"
             )
-        s = signed_distance(z_work, h)
-        if first_plane is None:
-            first_plane = h
-            first_distance = s
-        # always toward the desired side; sign_convention only affects binary moves
-        z_work = z_work + (s + cfg.delta_margin) * unit_direction(h)
-        moves += 1
-    if first_plane is None:
-        first_plane = Hyperplane(np.ones(z.size), 0.0)  # unused: no move happened
-    return z_work - z, moves, first_distance, first_plane
+        s = -(np.einsum("nd,nd->n", w, z_work[active]) + (intercepts[want] - intercepts[current])) / norm
+        z_work[active] += (s + cfg.delta_margin)[:, None] * (w / norm[:, None])
+        count[active] += 1
+    return z_work - Z, count
+
+
+def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
+                    cfg: DirectorConfig = DirectorConfig()) -> BatchUpdate:
+    """Apply one combined conditioning step to every row of Z, row i toward specs[i].
+
+    Reads each row's labels once and selects its mismatched discrete
+    attributes. Each selected binary attribute and each continuous target
+    sizes a step along its compiled unit row; the steps are summed as one
+    combination of those rows, the multiclass redirect moves are added, and
+    the sum is applied once. Unspecified attributes never contribute, and
+    every row is steered as it would be alone.
+    """
+    m = bundle.compiled
+    Z = np.array(Z, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] < 2 or not np.isfinite(Z).all():
+        raise ValueError(f"latents must be a finite (n, dim) array with dim >= 2, got shape {Z.shape}")
+    if m.dim is not None and Z.shape[1] != m.dim:
+        raise DimensionMismatchError(m.dim, Z.shape[1], what="latent vector")
+    if len(specs) != len(Z):
+        raise ValueError(f"{len(Z)} latents but {len(specs)} conditioning specs")
+    for spec in specs:
+        _validate_spec(spec, bundle.schema)
+
+    n = len(Z)
+    S = _scores(m, Z)
+    coef = np.zeros_like(S)       # step length along each compiled unit row
+    redirects = np.zeros_like(Z)  # summed multiclass moves
+    moved = np.zeros(n, dtype=bool)
+    targets = []
+    mismatch: dict[str, np.ndarray] = {}
+    mc_moves: dict[str, np.ndarray] = {}
+    for name, kind, rows, classes in m.blocks:
+        # the attribute's targets, then `go`: the rows it moves
+        r = rows.start
+        if kind == CONTINUOUS:
+            target = np.array([sp.continuous.get(name, np.nan) for sp in specs])
+            go = ~np.isnan(target)
+        else:
+            target = np.array([classes.index(sp.discrete[name]) if name in sp.discrete else -1
+                               for sp in specs], dtype=np.intp)
+            go = mismatch[name] = (target >= 0) & (target != _decide(kind, S[:, rows]))
+        targets.append(target)
+        if kind == BINARY and m.norms[r] == 0.0:
+            raise DegenerateModelError("hyperplane direction has zero norm")
+        if kind == MULTICLASS:
+            mc_moves[name] = np.zeros(n, dtype=np.intp)
+        if not go.any():
+            continue
+
+        if kind == CONTINUOUS:
+            if m.norms[r] == 0.0:
+                raise DegenerateModelError(f"regressor for attribute {name!r} has a zero slope")
+            delta = target - S[:, r]
+            go &= delta != 0.0
+            calibrated = cfg.continuous_calibration == CAL_CALIBRATED
+            coef[go, r] = delta[go] / m.norms[r] if calibrated else delta[go]
+        elif kind == BINARY:
+            s = -S[go, r] / m.norms[r]  # signed distance, negative on the positive side
+            if cfg.sign_convention == SIGN_PAPER_LITERAL:
+                coef[go, r] = -(s + cfg.delta_margin)
+            else:
+                # crossing step: land delta_margin past the boundary on the
+                # desired side. sigma equals sign(s) except exactly on the
+                # boundary, where the desired side disambiguates.
+                coef[go, r] = s + np.where(target[go] == 1, 1.0, -1.0) * cfg.delta_margin
+        else:
+            picked = np.flatnonzero(go)
+            move, mc_moves[name][picked] = _redirect(Z[picked], target[picked], m.weights[rows],
+                                                     m.intercepts[rows], classes, cfg)
+            redirects[picked] += move
+            go = mc_moves[name] > 0
+        moved |= go
+
+    Z_prime = Z.copy()
+    if moved.any():
+        # only moved rows get an update: adding a zero update would turn -0.0 into 0.0
+        Z_prime[moved] += np.einsum("nr,rd->nd", coef[moved], m.units) + redirects[moved]
+    return BatchUpdate(m, tuple(targets), Z_prime, moved, S, _scores(m, Z_prime), mismatch, mc_moves)
 
 
 def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
               cfg: DirectorConfig = DirectorConfig()) -> UpdateReport:
-    """Apply one combined conditioning step to z.
+    """Apply one combined conditioning step to z: `condition_batch` on a batch of one.
 
-    Computes current labels, selects mismatched discrete attributes via the
-    choose vector, sizes one move per attribute, sums them, and applies the
-    sum once. Unspecified attributes never contribute. Returns a report with
-    labels, signed distances, and continuous deltas before and after.
+    Returns a report with labels, signed distances, and continuous deltas
+    before and after. When nothing moves, z_prime is z itself.
     """
-    if bundle.schema:
-        z = as_latent(z, bundle.latent_dim)
-    else:
-        z = as_latent(z)
-    _validate_spec(spec, bundle.schema)
-
-    before = latent_labels(bundle, z)
-    choose = choose_vector(spec.discrete, before.discrete)
-    chosen = choose.as_dict()
-
-    # the combined step is coeffs_d @ D_c + coeffs_r @ D_r (rows are unit
-    # directions); multiclass moves, which may chain redirects, contribute
-    # as whole vectors
-    discrete_rows: list[np.ndarray] = []
-    discrete_coeffs: list[float] = []
-    continuous_rows: list[np.ndarray] = []
-    continuous_coeffs: list[float] = []
-    extra_moves: list[np.ndarray] = []
-    deltas: dict[str, float] = {}
-    dist_before: dict[str, float] = {}
-    dist_after_planes: dict[str, Hyperplane] = {}
-    mc_moves: dict[str, int] = {}
-
-    for attr in bundle.schema:
-        model = bundle.model_for(attr.name)
-        if attr.kind == BINARY:
-            dist_before[attr.name] = signed_distance(z, model.hyperplane)
-            dist_after_planes[attr.name] = model.hyperplane
-            if chosen.get(attr.name):
-                discrete_rows.append(unit_direction(model.hyperplane))
-                discrete_coeffs.append(
-                    _binary_coefficient(z, model, spec.discrete[attr.name], cfg)
-                )
-        elif attr.kind == MULTICLASS:
-            if chosen.get(attr.name):
-                move, moves, s0, plane0 = _multiclass_move(
-                    z, model, spec.discrete[attr.name], cfg
-                )
-                mc_moves[attr.name] = moves
-                dist_before[attr.name] = s0
-                dist_after_planes[attr.name] = plane0
-                if moves:
-                    extra_moves.append(move)
-        else:
-            if attr.name in spec.continuous:
-                slope = model.line.direction
-                norm = float(np.linalg.norm(slope))
-                if norm == 0.0:
-                    raise DegenerateModelError(
-                        f"regressor for attribute {attr.name!r} has a zero slope"
-                    )
-                delta = spec.continuous[attr.name] - before.continuous[attr.name]
-                deltas[attr.name] = delta
-                if delta != 0.0:
-                    continuous_rows.append(slope / norm)
-                    continuous_coeffs.append(
-                        delta / norm if cfg.continuous_calibration == CAL_CALIBRATED else delta
-                    )
-
-    update = np.zeros_like(z)
-    moved = False
-    if discrete_rows:
-        d_c = DirectionMatrix(np.stack(discrete_rows), "discrete")
-        update = update + d_c.combine(discrete_coeffs)
-        moved = True
-    if continuous_rows:
-        d_r = DirectionMatrix(np.stack(continuous_rows), "continuous")
-        update = update + d_r.combine(continuous_coeffs)
-        moved = True
-    for move in extra_moves:
-        update = update + move
-        moved = True
-
-    if moved:
-        z_prime = z + update
+    m = bundle.compiled
+    z = as_latent(z, m.dim)
+    batch = condition_batch(z[None, :], [spec], bundle, cfg)
+    z_prime = z  # bit-exact no-op unless the row moved
+    if batch.moved[0]:
+        z_prime = batch.z_prime[0]
         z_prime.flags.writeable = False
-    else:
-        z_prime = z  # bit-exact no-op
 
-    after = latent_labels(bundle, z_prime)
-    dist_after = {
-        name: signed_distance(z_prime, plane) for name, plane in dist_after_planes.items()
-    }
+    sb, sa = S = np.concatenate([batch.scores_before, batch.scores_after])
+    before, after = _labels(m, S)
+    chosen = {name: bool(mask[0]) for name, mask in batch.mismatch.items()}
+    dist_before: dict[str, float] = {}
+    dist_after: dict[str, float] = {}
+    for name, kind, rows, classes in m.blocks:
+        if kind == BINARY:
+            norm, s0, s1 = m.norms[rows.start], sb[rows.start], sa[rows.start]
+        elif kind == MULTICLASS and chosen[name]:
+            # the first redirect's boundary: the desired class against the class before
+            hi = rows.start + classes.index(spec.discrete[name])
+            lo = rows.start + classes.index(before.discrete[name])
+            norm = np.linalg.norm(m.weights[hi] - m.weights[lo])
+            s0, s1 = sb[hi] - sb[lo], sa[hi] - sa[lo]
+        else:
+            continue
+        dist_before[name], dist_after[name] = float(-s0 / norm), float(-s1 / norm)
+
     return UpdateReport(
         z=z,
         z_prime=z_prime,
         labels_before=before,
         labels_after=after,
-        choose=choose,
-        deltas=deltas,
+        choose=ChooseVector(tuple(chosen), tuple(chosen.values())),
+        deltas={name: v - before.continuous[name] for name, v in spec.continuous.items()},
         distances_before=dist_before,
         distances_after=dist_after,
-        multiclass_moves=mc_moves,
+        multiclass_moves={name: int(c[0]) for name, c in batch.multiclass_moves.items()
+                          if chosen[name]},
         config=cfg,
     )

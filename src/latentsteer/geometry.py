@@ -14,7 +14,6 @@ from .errors import DegenerateModelError, DimensionMismatchError
 
 __all__ = [
     "Hyperplane",
-    "DirectionMatrix",
     "as_latent",
     "sample_latents",
     "signed_distance",
@@ -141,49 +140,3 @@ def pairwise_cosines(vectors: np.ndarray) -> np.ndarray:
     m = np.clip((m + m.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(m, 1.0)
     return _frozen(m)
-
-
-@dataclass(frozen=True)
-class DirectionMatrix:
-    """Stack of unit direction vectors, one row per attribute (or class)."""
-
-    rows: np.ndarray
-    kind: str  # "discrete" | "continuous"
-
-    def __post_init__(self):
-        if self.kind not in ("discrete", "continuous"):
-            raise ValueError(f"kind must be 'discrete' or 'continuous', got {self.kind!r}")
-        r = np.array(self.rows, dtype=np.float64, copy=True)
-        if r.ndim != 2:
-            raise ValueError(f"rows must be 2-D, got shape {r.shape}")
-        norms = np.linalg.norm(r, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            worst = float(np.abs(norms - 1.0).max())
-            raise ValueError(f"rows must be unit vectors within 1e-9 (worst deviation {worst:.3e})")
-        object.__setattr__(self, "rows", _frozen(r))
-
-    @classmethod
-    def from_vectors(cls, vectors, kind: str) -> "DirectionMatrix":
-        """Normalize a stack of direction vectors into a DirectionMatrix."""
-        v = np.asarray(vectors, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"expected a 2-D stack of vectors, got shape {v.shape}")
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(norms == 0.0):
-            raise DegenerateModelError("cannot normalize a zero direction vector")
-        return cls(v / norms[:, None], kind)
-
-    @property
-    def count(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    def combine(self, coefficients) -> np.ndarray:
-        """Linear combination of the rows: coefficients @ rows."""
-        c = np.asarray(coefficients, dtype=np.float64)
-        if c.shape != (self.count,):
-            raise DimensionMismatchError(self.count, c.size, what="coefficient vector")
-        return c @ self.rows

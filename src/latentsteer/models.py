@@ -9,6 +9,7 @@ config: the only randomness is the train/test split permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -29,13 +30,12 @@ __all__ = [
     "MultiClassLatentClassifier",
     "LatentRegressor",
     "ModelBundle",
+    "CompiledBundle",
     "BundleProvenance",
     "LatentModel",
     "fit_binary",
     "fit_multiclass",
     "fit_regressor",
-    "predict_discrete",
-    "predict_value",
     "logistic_loss_and_grad",
     "softmax_loss_and_grad",
 ]
@@ -197,15 +197,6 @@ class MultiClassLatentClassifier:
         d = self.class_weights[j] - self.class_weights[others].mean(axis=0)
         d.flags.writeable = False
         return d
-
-    def pairwise_hyperplane(self, winner: str, loser: str) -> Hyperplane:
-        """Boundary where `winner` and `loser` scores are equal, positive on the winner side."""
-        i = self.class_names.index(winner)
-        j = self.class_names.index(loser)
-        return Hyperplane(
-            self.class_weights[i] - self.class_weights[j],
-            float(self.class_intercepts[i] - self.class_intercepts[j]),
-        )
 
 
 @dataclass(frozen=True)
@@ -435,18 +426,8 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
 
 
 # --------------------------------------------------------------------------
-# prediction and bundling
+# bundling
 # --------------------------------------------------------------------------
-
-def predict_discrete(model: BinaryLatentClassifier | MultiClassLatentClassifier, z) -> str:
-    """Class name of z under a discrete latent model."""
-    return model.predict(z)
-
-
-def predict_value(model: LatentRegressor, z) -> float:
-    """Predicted real value of z under a latent regressor."""
-    return model.predict(z)
-
 
 @dataclass(frozen=True)
 class BundleProvenance:
@@ -513,3 +494,49 @@ class ModelBundle:
             if attr.name == name:
                 return attr
         raise BundleIncompleteError(f"no attribute named {name!r} in the schema")
+
+    @cached_property
+    def compiled(self) -> "CompiledBundle":
+        """Every model of the bundle as rows of one affine map, built once per bundle."""
+        weights: list[np.ndarray] = []
+        intercepts: list[float] = []
+        blocks = []
+        for attr in self.schema:
+            model = self.models[attr.name]
+            if attr.kind == MULTICLASS:
+                rows, b, classes = model.class_weights, model.class_intercepts, model.class_names
+            else:
+                plane = model.hyperplane if attr.kind == BINARY else model.line
+                rows, b = [plane.direction], [plane.intercept]
+                classes = (model.negative_class, model.positive_class) if attr.kind == BINARY else ()
+            blocks.append((attr.name, attr.kind, slice(len(weights), len(weights) + len(rows)),
+                           classes))
+            weights.extend(rows)
+            intercepts.extend(b)
+        dim = self.latent_dim if self.schema else None
+        w = np.array(weights, dtype=np.float64).reshape(len(weights), dim or 0)
+        norms = np.sqrt((w * w).sum(axis=1))
+        units = w / np.where(norms > 0.0, norms, 1.0)[:, None]
+        arrays = (w, np.array(intercepts, dtype=np.float64), norms, units)
+        for a in arrays:
+            a.flags.writeable = False
+        return CompiledBundle(dim, *arrays, tuple(blocks))
+
+
+@dataclass(frozen=True)
+class CompiledBundle:
+    """A bundle's models stacked into one affine map z -> weights @ z + intercepts.
+
+    A binary or continuous attribute owns one row, a multiclass attribute one
+    row per class. `blocks` lists, in schema order, each attribute's
+    (name, kind, row slice, class names): (negative, positive) for a binary
+    row, the classifier's class order for a multiclass block, () for a
+    regressor. dim is None for an empty bundle.
+    """
+
+    dim: int | None
+    weights: np.ndarray     # (R, dim)
+    intercepts: np.ndarray  # (R,)
+    norms: np.ndarray       # (R,) row norms
+    units: np.ndarray       # (R, dim) rows scaled to unit length; a zero row stays zero
+    blocks: tuple[tuple[str, str, slice, tuple[str, ...]], ...]

@@ -71,6 +71,8 @@ def _read_json(path) -> dict:
 
 
 def _require(payload: dict, key: str, where: str):
+    if not isinstance(payload, dict):
+        raise FormatError(f"{where}: expected a JSON object")
     if key not in payload:
         raise FormatError(f"{where}: missing field {key!r}")
     return payload[key]
@@ -100,6 +102,8 @@ def payload_to_schema(payload: dict, where: str = "schema") -> AttributeSchema:
         return AttributeSchema.continuous(name, float(lo), float(hi))
     if kind in (BINARY, MULTICLASS):
         classes = _require(payload, "classes", where)
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise FormatError(f"{where}: 'classes' must be a list of strings")
         return AttributeSchema(name, kind, tuple(classes))
     raise FormatError(f"{where}: unknown attribute kind {kind!r}")
 
@@ -160,7 +164,8 @@ def _payload_to_model(payload: dict, where: str):
     if kind == BINARY:
         h = Hyperplane(np.array(_require(payload, "direction", where)),
                        float(_require(payload, "intercept", where)))
-        return BinaryLatentClassifier(h, payload["positive_class"], payload["negative_class"], meta)
+        return BinaryLatentClassifier(h, _require(payload, "positive_class", where),
+                                      _require(payload, "negative_class", where), meta)
     if kind == MULTICLASS:
         return MultiClassLatentClassifier(
             np.array(_require(payload, "class_weights", where)),
@@ -186,13 +191,13 @@ def _train_config_to_payload(cfg: TrainingConfig) -> dict:
     }
 
 
-def _payload_to_train_config(payload: dict) -> TrainingConfig:
+def _payload_to_train_config(payload: dict, where: str) -> TrainingConfig:
     return TrainingConfig(
-        learning_rate=float(payload["learning_rate"]),
-        epochs=int(payload["epochs"]),
-        l2_penalty=float(payload["l2_penalty"]),
-        split_fraction=float(payload["split_fraction"]),
-        seed=int(payload["seed"]),
+        learning_rate=float(_require(payload, "learning_rate", where)),
+        epochs=int(_require(payload, "epochs", where)),
+        l2_penalty=float(_require(payload, "l2_penalty", where)),
+        split_fraction=float(_require(payload, "split_fraction", where)),
+        seed=int(_require(payload, "seed", where)),
         momentum=float(payload.get("momentum", 0.9)),
     )
 
@@ -229,10 +234,12 @@ def payload_to_bundle(payload: dict, where: str = "bundle") -> ModelBundle:
     provenance = None
     if payload.get("provenance") is not None:
         p = payload["provenance"]
+        at = f"{where}.provenance"
         provenance = BundleProvenance(
-            world_seed=int(p["world_seed"]),
-            n_samples=int(p["n_samples"]),
-            train_config=_payload_to_train_config(p["training_config"]),
+            world_seed=int(_require(p, "world_seed", at)),
+            n_samples=int(_require(p, "n_samples", at)),
+            train_config=_payload_to_train_config(_require(p, "training_config", at),
+                                                  f"{at}.training_config"),
             metrics=dict(p.get("metrics", {})),
         )
     return ModelBundle(schema, models, provenance)
@@ -298,10 +305,14 @@ def payload_to_world(payload: dict, where: str = "world") -> SyntheticWorld:
     _check_version(payload, WORLD_FORMAT_VERSION, where)
     cfg = parse_world_config(_require(payload, "config", where), f"{where}.config")
     entries = _require(payload, "directions", where)
-    slots = tuple((e["attribute"], e.get("class_name")) for e in entries)
-    directions = np.array([e["direction"] for e in entries], dtype=np.float64)
-    intercepts = np.array([e["intercept"] for e in entries], dtype=np.float64)
-    return SyntheticWorld(cfg, directions, intercepts, slots)
+    slots, directions, intercepts = [], [], []
+    for i, e in enumerate(entries):
+        at = f"{where}.directions[{i}]"
+        slots.append((_require(e, "attribute", at), e.get("class_name")))
+        directions.append(_require(e, "direction", at))
+        intercepts.append(_require(e, "intercept", at))
+    return SyntheticWorld(cfg, np.array(directions, dtype=np.float64),
+                          np.array(intercepts, dtype=np.float64), tuple(slots))
 
 
 def save_world(world: SyntheticWorld, path) -> None:

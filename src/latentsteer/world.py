@@ -250,7 +250,8 @@ def _raw_score(world: SyntheticWorld, z: np.ndarray, slot: int) -> float:
 
 def _attribute_block_mean(world: SyntheticWorld, attr: AttributeSchema, z: np.ndarray) -> float:
     if attr.kind == BINARY:
-        return 1.0 if _raw_score(world, z, world.slot_index(attr.name)) > 0.0 else 0.0
+        # the models' tie rule: a score of exactly 0 is the positive class
+        return 1.0 if _raw_score(world, z, world.slot_index(attr.name)) >= 0.0 else 0.0
     if attr.kind == MULTICLASS:
         scores = [_raw_score(world, z, world.slot_index(attr.name, c)) for c in attr.classes]
         return float(np.argmax(scores)) / (len(attr.classes) - 1)

@@ -27,7 +27,6 @@ from latentsteer import (
     eval_latent_modification,
     ground_truth_bundle,
     latent_labels,
-    predict_value,
     run_training,
     signed_distance,
     sweep_entanglement,
@@ -140,7 +139,7 @@ def test_criterion_04_continuous_calibration():
         z = rng.standard_normal(64)
         target = float(rng.uniform(-4.8, 4.8))  # middle 80% of the range
         rep = condition(z, ConditioningSpec(continuous={"level": target}), bundle, cal)
-        err = abs(predict_value(model, rep.z_prime) - target)
+        err = abs(model.predict(rep.z_prime) - target)
         worst = max(worst, err)
         assert err <= 1e-9
         # ground-truth readout agrees away from the clamp
@@ -155,10 +154,10 @@ def test_criterion_04_continuous_calibration():
     lit = DirectorConfig(continuous_calibration="paper_literal")
     for _ in range(2000):
         z = rng.standard_normal(64)
-        current = predict_value(reg, z)
+        current = reg.predict(z)
         target = current + float(rng.uniform(-3.0, 3.0))
         rep = condition(z, ConditioningSpec(continuous={"level": target}), lit_bundle, lit)
-        err = abs(predict_value(reg, rep.z_prime) - target)
+        err = abs(reg.predict(rep.z_prime) - target)
         predicted_err = abs(target - current) * (2.0 - 1.0)
         assert abs(err - predicted_err) <= 1e-6
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentsteer import (
     AttributeSchema,
@@ -14,11 +17,9 @@ from latentsteer import (
     LatentRegressor,
     ModelBundle,
     MultiClassLatentClassifier,
-    choose_vector,
     condition,
+    condition_batch,
     latent_labels,
-    predict_discrete,
-    predict_value,
     sample_latents,
     signed_distance,
 )
@@ -45,6 +46,13 @@ def test_latent_labels_binary_and_regressor():
     labels = latent_labels(reg, np.array([1.0, 1.0]))
     assert labels.continuous == {"level": 2.0}
 
+    # the tie rule: a binary score of 0 is positive, a multiclass tie goes to the lowest index
+    assert latent_labels(bundle, np.array([0.0, 3.0])).discrete == {"flag": "pos"}
+    weights = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mc = ModelBundle((AttributeSchema.multiclass("m", ("c0", "c1", "c2")),),
+                     {"m": MultiClassLatentClassifier(weights, np.zeros(3), ("c0", "c1", "c2"))})
+    assert latent_labels(mc, np.array([1.0, 0.0])).discrete == {"m": "c0"}
+
 
 def test_latent_labels_empty_schema():
     bundle = ModelBundle((), {})
@@ -53,13 +61,20 @@ def test_latent_labels_empty_schema():
 
 
 def test_choose_vector_cases():
-    assert choose_vector({"style": "tee"}, {"style": "tee"}).bits == (0,)
-    cv = choose_vector({"style": "dress", "pose": "front"},
-                       {"style": "tee", "pose": "front"})
+    schema = (AttributeSchema.binary("style", "tee", "dress"),
+              AttributeSchema.binary("pose", "back", "front"))
+    models = {
+        "style": BinaryLatentClassifier(Hyperplane(np.array([1.0, 0.0]), 0.0), "dress", "tee"),
+        "pose": BinaryLatentClassifier(Hyperplane(np.array([0.0, 1.0]), 0.0), "front", "back"),
+    }
+    bundle = ModelBundle(schema, models)
+    z = np.array([-1.0, 1.0])  # style tee, pose front
+    assert condition(z, ConditioningSpec({"style": "tee"}), bundle).choose.bits == (0, 0)
+    cv = condition(z, ConditioningSpec({"style": "dress", "pose": "front"}), bundle).choose
     assert cv.as_dict() == {"style": 1, "pose": 0}
-    assert choose_vector({}, {"style": "tee", "pose": "front"}).bits == (0, 0)
+    assert condition(z, ConditioningSpec(), bundle).choose.bits == (0, 0)
     with pytest.raises(ConditioningError):
-        choose_vector({"ghost": "x"}, {"style": "tee"})
+        condition(z, ConditioningSpec({"ghost": "x"}), bundle)
 
 
 def test_condition_binary_corrected_hand_value():
@@ -91,11 +106,11 @@ def test_condition_continuous_calibrated_vs_literal_hand_values():
 
     calibrated = condition(z, spec, bundle, DirectorConfig(continuous_calibration="calibrated"))
     np.testing.assert_allclose(calibrated.z_prime, [1.5, 1.0], atol=1e-12)
-    assert predict_value(bundle.models["level"], calibrated.z_prime) == pytest.approx(3.0, abs=1e-12)
+    assert bundle.models["level"].predict(calibrated.z_prime) == pytest.approx(3.0, abs=1e-12)
 
     literal = condition(z, spec, bundle, DirectorConfig(continuous_calibration="paper_literal"))
     np.testing.assert_allclose(literal.z_prime, [2.0, 1.0], atol=1e-12)
-    assert predict_value(bundle.models["level"], literal.z_prime) == pytest.approx(4.0, abs=1e-12)
+    assert bundle.models["level"].predict(literal.z_prime) == pytest.approx(4.0, abs=1e-12)
     assert calibrated.deltas == {"level": 1.0}
 
 
@@ -127,7 +142,7 @@ def test_crossing_guarantee_both_directions():
         model = BinaryLatentClassifier(Hyperplane(direction, float(rng.standard_normal())), "pos", "neg")
         bundle = ModelBundle((AttributeSchema.binary("flag", "neg", "pos"),), {"flag": model})
         z = rng.standard_normal(dim)
-        current = predict_discrete(model, z)
+        current = model.predict(z)
         desired = "pos" if current == "neg" else "neg"
         report = condition(z, ConditioningSpec({"flag": desired}), bundle, cfg)
         assert report.labels_after.discrete["flag"] == desired
@@ -151,7 +166,7 @@ def test_paper_literal_never_crosses_from_negative_side():
         model = BinaryLatentClassifier(Hyperplane(direction, float(rng.standard_normal())), "pos", "neg")
         bundle = ModelBundle((AttributeSchema.binary("flag", "neg", "pos"),), {"flag": model})
         z = rng.standard_normal(4)
-        if predict_discrete(model, z) == "pos":
+        if model.predict(z) == "pos":
             continue
         report = condition(z, ConditioningSpec({"flag": "pos"}), bundle, cfg)
         assert report.labels_after.discrete["flag"] == "neg"  # stuck on the wrong side
@@ -165,7 +180,7 @@ def test_idempotence_single_binary():
         model = BinaryLatentClassifier(Hyperplane(direction, 0.1), "pos", "neg")
         bundle = ModelBundle((AttributeSchema.binary("flag", "neg", "pos"),), {"flag": model})
         z = rng.standard_normal(5)
-        desired = "neg" if predict_discrete(model, z) == "pos" else "pos"
+        desired = "neg" if model.predict(z) == "pos" else "pos"
         spec = ConditioningSpec({"flag": desired})
         first = condition(z, spec, bundle, cfg)
         second = condition(first.z_prime, spec, bundle, cfg)
@@ -181,7 +196,7 @@ def test_multiclass_conditioning_crosses_to_desired():
     cfg = DirectorConfig(delta_margin=0.5, multiclass_max_redirects=3)
     for _ in range(200):
         z = rng.standard_normal(3)
-        current = predict_discrete(model, z)
+        current = model.predict(z)
         desired = rng.choice([c for c in ("c0", "c1", "c2") if c != current])
         report = condition(z, ConditioningSpec({"m": str(desired)}), bundle, cfg)
         assert report.labels_after.discrete["m"] == desired
@@ -240,8 +255,8 @@ def test_orthogonal_superposition():
             s_single = signed_distance(z_single, models[name].hyperplane)
             s_joint = signed_distance(z_joint, models[name].hyperplane)
             assert abs(s_single - s_joint) < 1e-9
-        v_single = predict_value(models["v"], condition(z, spec_v, bundle, cfg).z_prime)
-        v_joint = predict_value(models["v"], z_joint)
+        v_single = models["v"].predict(condition(z, spec_v, bundle, cfg).z_prime)
+        v_joint = models["v"].predict(z_joint)
         assert abs(v_single - v_joint) < 1e-9
 
 
@@ -328,3 +343,82 @@ def test_unspecified_attributes_never_move():
     # attribute b (unspecified) keeps its coordinate untouched
     assert report.z_prime[1] == z[1]
     assert report.choose.as_dict() == {"a": 1, "b": 0}
+
+
+FLOATS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def steering_batches(draw):
+    """A random bundle of 1-4 attributes of any kind, a batch of latents, a spec per row, a mode."""
+    dim = draw(st.integers(2, 5))
+    schema, models = [], {}
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["binary", "multiclass", "continuous"]),
+                                           min_size=1, max_size=4))):
+        name = f"a{i}"
+        if kind == "binary":
+            schema.append(AttributeSchema.binary(name, "n", "p"))
+            models[name] = BinaryLatentClassifier(
+                Hyperplane(draw(arrays(np.float64, dim, elements=FLOATS)), draw(FLOATS)), "p", "n")
+        elif kind == "multiclass":
+            k = draw(st.integers(3, 4))
+            classes = tuple(f"c{j}" for j in range(k))
+            schema.append(AttributeSchema.multiclass(name, classes))
+            models[name] = MultiClassLatentClassifier(
+                draw(arrays(np.float64, (k, dim), elements=FLOATS)),
+                draw(arrays(np.float64, k, elements=FLOATS)), classes)
+        else:
+            schema.append(AttributeSchema.continuous(name, -20.0, 20.0))
+            models[name] = LatentRegressor(
+                Hyperplane(draw(arrays(np.float64, dim, elements=FLOATS)), draw(FLOATS)))
+    bundle = ModelBundle(tuple(schema), models)
+    n = draw(st.integers(1, 6))
+    Z = draw(arrays(np.float64, (n, dim), elements=FLOATS))
+    specs = []
+    for _ in range(n):
+        discrete, continuous = {}, {}
+        for attr in schema:
+            if attr.is_discrete:
+                target = draw(st.none() | st.sampled_from(attr.classes))
+                if target is not None:
+                    discrete[attr.name] = target
+            else:
+                target = draw(st.none() | st.floats(attr.lo, attr.hi))
+                if target is not None:
+                    continuous[attr.name] = target
+        specs.append(ConditioningSpec(discrete, continuous))
+    cfg = DirectorConfig(sign_convention=draw(st.sampled_from(["corrected", "paper_literal"])),
+                         continuous_calibration=draw(st.sampled_from(["calibrated", "paper_literal"])))
+    return bundle, Z, specs, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(steering_batches())
+# a tiny normal far from its boundary: the step is huge and must not overflow
+@example((binary_bundle(direction=(1e-157, 0.0), intercept=1.0), np.zeros((1, 2)),
+          [ConditioningSpec({"flag": "neg"})], DirectorConfig()))
+def test_condition_batch_rows_equal_single_condition(case):
+    bundle, Z, specs, cfg = case
+    try:
+        batch = condition_batch(Z, specs, bundle, cfg)
+    except DegenerateModelError:
+        # a degenerate model fails the batch only where it fails some row on its own
+        with pytest.raises(DegenerateModelError):
+            for z, spec in zip(Z, specs):
+                condition(z, spec, bundle, cfg)
+        return
+    for i, (z, spec) in enumerate(zip(Z, specs)):
+        single = condition(z, spec, bundle, cfg)
+        np.testing.assert_allclose(batch.z_prime[i], single.z_prime, rtol=1e-12, atol=1e-12)
+        assert latent_labels(bundle, z) == single.labels_before
+        after = latent_labels(bundle, batch.z_prime[i])
+        assert after == single.labels_after
+        assert batch.satisfied[i] == (
+            all(after.discrete[k] == v for k, v in spec.discrete.items())
+            and all(abs(after.continuous[k] - v) <= 1e-9 for k, v in spec.continuous.items()))
+        moves = {name: int(count[i]) for name, count in batch.multiclass_moves.items()
+                 if batch.mismatch[name][i]}
+        assert moves == single.multiclass_moves
+        if not batch.moved[i]:
+            assert batch.z_prime[i].tobytes() == z.tobytes()
+            assert single.z_prime is single.z

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from latentsteer import (
     DegenerateModelError,
     DimensionMismatchError,
-    DirectionMatrix,
     Hyperplane,
     as_latent,
     cosine_similarity,
@@ -143,24 +142,6 @@ def test_as_latent_validation():
         as_latent([1.0])
     with pytest.raises(DimensionMismatchError):
         as_latent([1.0, 2.0], expected_dim=3)
-
-
-def test_direction_matrix_validates_unit_rows():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    dm = DirectionMatrix(rows, "discrete")
-    assert dm.count == 2 and dm.dim == 2
-    with pytest.raises(ValueError):
-        DirectionMatrix(np.array([[2.0, 0.0]]), "discrete")
-    with pytest.raises(ValueError):
-        DirectionMatrix(rows, "mystery")
-
-
-def test_direction_matrix_from_vectors_normalizes_and_combines():
-    dm = DirectionMatrix.from_vectors(np.array([[3.0, 4.0], [0.0, 2.0]]), "continuous")
-    np.testing.assert_allclose(dm.rows, [[0.6, 0.8], [0.0, 1.0]], atol=1e-15)
-    np.testing.assert_allclose(dm.combine([1.0, 2.0]), [0.6, 2.8], atol=1e-15)
-    with pytest.raises(DegenerateModelError):
-        DirectionMatrix.from_vectors(np.array([[0.0, 0.0]]), "discrete")
 
 
 def test_hyperplane_arrays_read_only():

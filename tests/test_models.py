@@ -18,8 +18,6 @@ from latentsteer import (
     fit_binary,
     fit_multiclass,
     fit_regressor,
-    predict_discrete,
-    predict_value,
     sample_latents,
 )
 from latentsteer.models import logistic_loss_and_grad, softmax_loss_and_grad
@@ -181,20 +179,20 @@ def test_fit_regressor_too_few_samples():
 
 def test_predict_discrete_and_value():
     binary = BinaryLatentClassifier(Hyperplane(np.array([1.0, 0.0]), 0.0), "pos", "neg")
-    assert predict_discrete(binary, np.array([2.0, -1.0])) == "pos"
-    assert predict_discrete(binary, np.array([-2.0, 1.0])) == "neg"
-    assert predict_discrete(binary, np.array([0.0, 5.0])) == "pos"  # tie goes positive
+    assert binary.predict(np.array([2.0, -1.0])) == "pos"
+    assert binary.predict(np.array([-2.0, 1.0])) == "neg"
+    assert binary.predict(np.array([0.0, 5.0])) == "pos"  # tie goes positive
 
     mc = MultiClassLatentClassifier(
         np.eye(3), np.array([0.2, 0.9, 0.1]), ("c0", "c1", "c2")
     )
-    assert predict_discrete(mc, np.zeros(3)) == "c1"  # argmax over (0.2, 0.9, 0.1)
+    assert mc.predict(np.zeros(3)) == "c1"  # argmax over (0.2, 0.9, 0.1)
 
     reg = LatentRegressor(Hyperplane(np.array([2.0, 0.0]), 0.0))
-    assert predict_value(reg, np.array([1.0, 1.0])) == 2.0
+    assert reg.predict(np.array([1.0, 1.0])) == 2.0
 
     with pytest.raises(DimensionMismatchError):
-        predict_discrete(binary, np.array([1.0, 2.0, 3.0]))
+        binary.predict(np.array([1.0, 2.0, 3.0]))
 
 
 def test_decision_invariance_under_positive_scaling():

@@ -318,3 +318,44 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
 
 def test_cli_unknown_command_exits_2():
     assert main(["quantize"]) == 2
+
+
+BUNDLE_KEYS = [(("models", "style"), key) for key in ("positive_class", "negative_class")]
+BUNDLE_KEYS += [(("provenance",), key) for key in ("world_seed", "n_samples", "training_config")]
+BUNDLE_KEYS += [(("provenance", "training_config"), key)
+                for key in ("learning_rate", "epochs", "l2_penalty", "split_fraction", "seed")]
+WORLD_KEYS = [(("directions", 0), key) for key in ("attribute", "direction", "intercept")]
+
+
+MISSING = [("bundle", *k) for k in BUNDLE_KEYS] + [("world", *k) for k in WORLD_KEYS]
+
+
+@pytest.mark.parametrize("which,path,key", MISSING,
+                         ids=[".".join(map(str, (w, *p, k))) for w, p, k in MISSING])
+def test_cli_missing_required_key_exits_2(tmp_path, capsys, which, path, key):
+    from dataclasses import replace
+    from latentsteer import BundleProvenance
+    world = small_world()
+    bundle = replace(ground_truth_bundle(world), provenance=BundleProvenance(3, 400, TrainingConfig()))
+    payloads = {"bundle": bundle_to_payload(bundle), "world": world_to_payload(world)}
+    node = payloads[which]
+    for step in path:
+        node = node[step]
+    del node[key]
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_bytes(json_bytes(payload))
+    code = main(["eval", "--bundle", str(tmp_path / "bundle.json"),
+                 "--world", str(tmp_path / "world.json"), "--mode", "cosine"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_cli_world_init_rejects_string_classes(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_world_config(cfg)
+    payload = json.loads(cfg.read_text(encoding="utf-8"))
+    payload["attributes"][0]["classes"] = "xyz"
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["world-init", "--config", str(cfg), "--out", str(tmp_path / "w.json")]) == 2
+    assert "list of strings" in capsys.readouterr().err
