@@ -25,7 +25,7 @@ attrs = (
 )
 world = build_world(WorldConfig(dim=64, attributes=attrs, continuous_profile="linear", seed=41))
 
-cfg = TrainingConfig(learning_rate=1.0, epochs=1500, l2_penalty=1e-6, momentum=0.98, seed=11)
+cfg = TrainingConfig(epochs=1500, l2_penalty=1e-6, seed=11)
 bundle = run_training(world, 10000, cfg)
 
 print("held-out metrics (accuracy for discrete, RMSE for continuous):")

@@ -33,7 +33,7 @@ attrs = (
     AttributeSchema.continuous("smile", 0.0, 1.0),
 )
 world = build_world(WorldConfig(dim=32, attributes=attrs, continuous_profile="sigmoid", seed=2))
-bundle = run_training(world, 5000, TrainingConfig(learning_rate=1.0, epochs=800, seed=1))
+bundle = run_training(world, 5000, TrainingConfig(epochs=800, seed=1))
 
 z = sample_latents(1, 32, seed=11)[0]
 spec = ConditioningSpec({"style": "dress", "hair": "blond"}, {"smile": 0.8})

@@ -29,7 +29,7 @@ attrs = (
     AttributeSchema.binary("style", "tee", "dress"),
 )
 world = build_world(WorldConfig(dim=64, attributes=attrs, entanglement=ent, seed=57))
-bundle = run_training(world, 10000, TrainingConfig(learning_rate=1.0, epochs=1000, seed=3))
+bundle = run_training(world, 10000, TrainingConfig(epochs=1000, seed=3))
 
 print("cosine matrix of the learned directions:")
 print(cosine_report(bundle).render())
@@ -40,7 +40,7 @@ print("\n" + latent.render())
 print("\n" + e2e.render())
 
 print("\nsweep: joint accuracy vs configured direction cosine")
-cfg = SweepConfig(dim=32, seed=0, train=TrainingConfig(learning_rate=1.0, epochs=600, seed=1))
+cfg = SweepConfig(dim=32, seed=0, train=TrainingConfig(epochs=600, seed=1))
 result = sweep_entanglement([0.0, 0.3, 0.57, 0.8, 0.95], trials=2000, n_samples=4000, cfg=cfg)
 for row in result.rows:
     bar = "#" * int(40 * row.joint_accuracy)

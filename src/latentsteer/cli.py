@@ -45,17 +45,6 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 3
 
 
-def _training_config(args) -> TrainingConfig:
-    return TrainingConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        l2_penalty=args.l2_penalty,
-        split_fraction=args.split_fraction,
-        seed=args.seed,
-        momentum=args.momentum,
-    )
-
-
 def _director_config(args) -> DirectorConfig:
     return DirectorConfig(
         delta_margin=args.delta,
@@ -122,14 +111,19 @@ def cmd_world_init(args) -> int:
 
 def cmd_train(args) -> int:
     world = load_world(args.world)
-    bundle = run_training(world, args.n, _training_config(args))
+    cfg = TrainingConfig(epochs=args.epochs, l2_penalty=args.l2_penalty,
+                         split_fraction=args.split_fraction, seed=args.seed)
+    bundle = run_training(world, args.n, cfg)
     save_bundle(bundle, args.out)
     print(f"bundle written to {args.out}")
-    print(f"{'attribute':<20} {'kind':<12} {'held-out metric':>16}")
+    print(f"{'attribute':<20} {'kind':<12} {'iterations':>10} {'max |grad|':>10} "
+          f"{'held-out metric':>16}")
     for attr in bundle.schema:
         metric = bundle.provenance.metrics[attr.name]
         label = "accuracy" if attr.is_discrete else "rmse"
-        print(f"{attr.name:<20} {attr.kind:<12} {label + f' {metric:.4f}':>16}")
+        meta = bundle.models[attr.name].training_meta
+        iters, grad = (meta.epochs_run, f"{meta.grad_norm:.1e}") if attr.is_discrete else ("-", "-")
+        print(f"{attr.name:<20} {attr.kind:<12} {iters:>10} {grad:>10} {label + f' {metric:.4f}':>16}")
     return 0
 
 
@@ -225,11 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True)
     p.add_argument("--n", type=int, required=True, help="number of training samples")
     p.add_argument("--out", required=True)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=500)
+    p.add_argument("--epochs", type=int, default=500, help="cap on Newton iterations per fit")
     p.add_argument("--l2-penalty", type=float, default=1e-4)
     p.add_argument("--split-fraction", type=float, default=0.8)
-    p.add_argument("--momentum", type=float, default=0.9)
+    # accepted and ignored: the Newton fit takes no step size or momentum
+    p.add_argument("--learning-rate", "--momentum", type=float, help=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

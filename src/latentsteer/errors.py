@@ -25,11 +25,11 @@ class UnlearnableAttributeError(LatentSteerError):
 
 
 class DivergenceError(LatentSteerError):
-    """Gradient descent produced a non-finite loss."""
+    """A Newton fit produced a non-finite gradient or Hessian."""
 
-    def __init__(self, epoch: int, detail: str = ""):
-        self.epoch = int(epoch)
-        msg = f"training loss became non-finite at epoch {epoch}"
+    def __init__(self, iteration: int, detail: str = ""):
+        self.iteration = int(iteration)
+        msg = f"training became non-finite at iteration {iteration}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

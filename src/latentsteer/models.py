@@ -1,14 +1,17 @@
 """Linear attribute models over latent vectors.
 
 Binary attributes get a logistic classifier, multi-valued attributes a single
-softmax classifier, continuous attributes a ridge regression line. All
-training is full batch, zero initialized, and bit-deterministic for a given
-config: the only randomness is the train/test split permutation.
+softmax classifier, continuous attributes a ridge regression line. Both
+classifiers are fitted by one damped Newton (IRLS) routine over the softmax
+objective, a binary attribute being its two-class case; it starts from zero
+and stops once max |grad| <= GRAD_TOL. All training is full batch and
+bit-deterministic for a given config: the only randomness is the train/test
+split permutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
@@ -43,6 +46,8 @@ __all__ = [
 BINARY = "binary"
 MULTICLASS = "multiclass"
 CONTINUOUS = "continuous"
+
+GRAD_TOL = 1e-8  # a classifier fit stops once max |grad| falls to this
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,9 @@ class AttributeSchema:
 class TrainingConfig:
     """Hyperparameters for fitting latent-attribute models.
 
-    momentum is the heavy-ball coefficient of the full-batch descent. Plain
-    descent (momentum=0) stalls long before the margin converges on
-    separable latent data; the default 0.9 reaches the same optimum far
-    faster without giving up zero-init determinism.
+    epochs caps the Newton iterations of a classifier fit; a fit stops
+    earlier once it has converged. learning_rate is accepted for older
+    callers and ignored: the Newton fit takes no step size.
     """
 
     learning_rate: float = 0.1
@@ -111,29 +115,29 @@ class TrainingConfig:
     l2_penalty: float = 1e-4
     split_fraction: float = 0.8
     seed: int = 0
-    momentum: float = 0.9
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be non-negative")
         if not (0.0 < self.split_fraction < 1.0):
             raise ValueError("split_fraction must lie in (0, 1)")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class TrainingMeta:
-    """Held-out metrics recorded at fit time."""
+    """Fit record: Newton iterations, final loss and max |grad|, held-out metric.
+
+    A classifier fit converged when grad_norm <= GRAD_TOL; grad_norm is NaN
+    for a regressor, which has no iterative fit.
+    """
 
     epochs_run: int = 0
     final_loss: float = float("nan")
     test_accuracy: float | None = None
     test_rmse: float | None = None
+    grad_norm: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -225,17 +229,12 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, t: np.ndarray
                            l2: float) -> tuple[float, np.ndarray, float]:
     """Mean L2-regularized logistic loss and its gradient.
 
-    t holds 0/1 targets; the intercept is not penalized.
+    t holds 0/1 targets; the intercept is not penalized. This is the
+    two-class softmax loss with rows -w/2 and +w/2 and twice the penalty.
     """
-    s = X @ w + b
-    # log(1 + exp(-|s|)) + max(s, 0) - s*t is the overflow-safe cross entropy
-    loss = float(np.mean(np.logaddexp(0.0, -np.abs(s)) + np.maximum(s, 0.0) - s * t))
-    loss += 0.5 * l2 * float(w @ w)
-    p = _sigmoid(s)
-    resid = p - t
-    grad_w = X.T @ resid / X.shape[0] + l2 * w
-    grad_b = float(np.mean(resid))
-    return loss, grad_w, grad_b
+    loss, gW, gb = softmax_loss_and_grad(np.stack([-w, w]) / 2, np.array([-b, b]) / 2, X,
+                                         np.stack([1.0 - t, t], axis=1), 2.0 * l2)
+    return loss, (gW[1] - gW[0]) / 2, float(gb[1] - gb[0]) / 2
 
 
 def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray,
@@ -254,15 +253,6 @@ def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.nda
     grad_W = resid.T @ X / X.shape[0] + l2 * W
     grad_b = resid.mean(axis=0)
     return loss, grad_W, grad_b
-
-
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -285,119 +275,117 @@ def _split(n: int, cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
     return perm[:n_train], perm[n_train:]
 
 
-def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
-               positive_class: str | None = None) -> BinaryLatentClassifier:
-    """Fit a binary logistic classifier by full-batch gradient descent.
+def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
+    """Minimize softmax_loss_and_grad over (W, b) by damped Newton steps from zero.
 
-    Args:
-        latents: (n, dim) latent vectors.
-        labels: n class-name strings covering exactly two classes.
-        cfg: hyperparameters; cfg.seed fixes the 80/20 split.
-        positive_class: which class maps to the positive score side. Defaults
-            to the lexicographically larger of the two labels.
+    Each step solves H step = -grad by least squares, so it never moves along
+    the directions the loss is flat in (a shared intercept shift, and at
+    l2 = 0 a shared weight shift), and is halved until the Armijo condition
+    holds. Stops once max |grad| <= GRAD_TOL, after max_iter steps, or when
+    no halving lowers the loss. Returns W, b, loss, max |grad| and steps.
+    """
+    (n, d), k = X.shape, Y.shape[1]
+    W, b = np.zeros((k, d)), np.zeros(k)
+    loss, gW, gb = softmax_loss_and_grad(W, b, X, Y, l2)
+    steps = 0
+    while True:
+        g = np.hstack([gW, gb[:, None]]).ravel()  # per class: d weights, then the intercept
+        if steps == max_iter or np.abs(g).max() <= GRAD_TOL:
+            break
+        logits = X @ W.T + b
+        P = np.exp(logits - logits.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        H = np.empty((k, d + 1, k, d + 1))
+        for a in range(k):
+            for c in range(a, k):
+                s = P[:, a] * (float(a == c) - P[:, c]) / n
+                # one (n, d) temporary at a time: it is freed before the next is made
+                H[a, :d, c, :d] = X.T @ (X * s[:, None]) + (l2 * np.eye(d) if a == c else 0.0)
+                H[a, :d, c, d] = H[a, d, c, :d] = s @ X
+                H[a, d, c, d] = s.sum()
+                H[c, :, a, :] = H[a, :, c, :].T
+        H = H.reshape(k * (d + 1), k * (d + 1))
+        if not (np.isfinite(H).all() and np.isfinite(g).all()):
+            raise DivergenceError(steps, "non-finite gradient or Hessian")
+        step = np.linalg.lstsq(H, -g, rcond=None)[0].reshape(k, d + 1)
+        t = 1.0
+        while t > 1e-12:
+            trial = softmax_loss_and_grad(W + t * step[:, :d], b + t * step[:, d], X, Y, l2)
+            if trial[0] <= loss + 1e-4 * t * float(g @ step.ravel()):
+                break
+            t /= 2
+        else:
+            break
+        W, b = W + t * step[:, :d], b + t * step[:, d]
+        loss, gW, gb = trial
+        steps += 1
+    return W, b, loss, float(np.abs(g).max()), steps
 
-    Returns:
-        Classifier with held-out accuracy recorded in training_meta.
+
+def _fit_classes(latents, labels: list[str], names: tuple[str, ...], cfg: TrainingConfig,
+                 l2: float):
+    """Checks, split and Newton fit shared by both classifiers.
+
+    Returns W, b, the test fold's latents and class indices, and the fit
+    record, whose test_accuracy the caller fills in with its decision rule.
     """
     X = _as_matrix(latents)
-    labels = list(labels)
     if len(labels) != X.shape[0]:
         raise ValueError(f"{X.shape[0]} latents but {len(labels)} labels")
+    unknown = sorted(set(labels) - set(names))
+    if unknown:
+        raise UnlearnableAttributeError(f"labels outside the class set: {unknown}")
+    missing = [c for c in names if labels.count(c) < 2]
+    if missing:
+        raise UnlearnableAttributeError(f"classes with fewer than 2 samples: {missing}")
+    index = {c: i for i, c in enumerate(names)}
+    y = np.array([index[label] for label in labels])
+    tr, te = _split(X.shape[0], cfg)
+    W, b, loss, grad_norm, steps = _newton(X[tr], np.eye(len(names))[y[tr]], l2, cfg.epochs)
+    meta = TrainingMeta(epochs_run=steps, final_loss=loss, grad_norm=grad_norm)
+    return W, b, X[te], y[te], meta
+
+
+def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
+               positive_class: str | None = None) -> BinaryLatentClassifier:
+    """Fit a binary logistic classifier over (n, dim) latents and n labels of two classes.
+
+    positive_class maps to the positive score side (default: the larger of
+    the two labels). This is the two-class softmax fit with twice the L2
+    penalty: its rows come out as -w/2 and +w/2, whose penalty equals the
+    logistic one on w = their difference. Held-out accuracy and convergence
+    are recorded in training_meta.
+    """
+    labels = list(labels)
     present = sorted(set(labels))
     if len(present) != 2:
+        raise UnlearnableAttributeError(f"binary fit needs exactly 2 classes, got {present}")
+    if positive_class is not None and positive_class not in present:
         raise UnlearnableAttributeError(
-            f"binary fit needs exactly 2 classes, got {present}"
-        )
-    if positive_class is None:
-        negative, positive = present
-    else:
-        if positive_class not in present:
-            raise UnlearnableAttributeError(
-                f"positive class {positive_class!r} absent from labels {present}"
-            )
-        positive = positive_class
-        negative = present[0] if present[1] == positive else present[1]
-    t = np.array([1.0 if y == positive else 0.0 for y in labels])
-    if t.sum() < 2 or (len(t) - t.sum()) < 2:
-        raise UnlearnableAttributeError("each class needs at least 2 samples")
-
-    tr, te = _split(X.shape[0], cfg)
-    Xtr, ttr = X[tr], t[tr]
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    vw = np.zeros_like(w)
-    vb = 0.0
-    loss = float("nan")
-    for epoch in range(cfg.epochs):
-        loss, gw, gb = logistic_loss_and_grad(w, b, Xtr, ttr, cfg.l2_penalty)
-        if not np.isfinite(loss):
-            raise DivergenceError(epoch)
-        vw = cfg.momentum * vw - cfg.learning_rate * gw
-        vb = cfg.momentum * vb - cfg.learning_rate * gb
-        w += vw
-        b += vb
-    loss = logistic_loss_and_grad(w, b, Xtr, ttr, cfg.l2_penalty)[0]
-    if not np.isfinite(loss):
-        raise DivergenceError(cfg.epochs)
-
-    pred_pos = (X[te] @ w + b) >= 0.0
-    accuracy = float(np.mean(pred_pos == (t[te] == 1.0)))
-    meta = TrainingMeta(epochs_run=cfg.epochs, final_loss=loss, test_accuracy=accuracy)
-    return BinaryLatentClassifier(Hyperplane(w, b), positive, negative, meta)
+            f"positive class {positive_class!r} absent from labels {present}")
+    positive = present[1] if positive_class is None else positive_class
+    negative = present[0] if present[1] == positive else present[1]
+    W, b, Xte, yte, meta = _fit_classes(latents, labels, (negative, positive), cfg,
+                                        2.0 * cfg.l2_penalty)
+    h = Hyperplane(W[1] - W[0], float(b[1] - b[0]))
+    accuracy = float(np.mean((Xte @ h.direction + h.intercept >= 0.0) == (yte == 1)))
+    return BinaryLatentClassifier(h, positive, negative, replace(meta, test_accuracy=accuracy))
 
 
 def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
                    class_names: Sequence[str] | None = None) -> MultiClassLatentClassifier:
-    """Fit one softmax classifier over k classes by full-batch gradient descent.
+    """Fit one softmax classifier over k classes by damped Newton steps.
 
     class_names fixes the class order (default: sorted unique labels); every
     named class must appear at least twice in the labels.
     """
-    X = _as_matrix(latents)
     labels = list(labels)
-    if len(labels) != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} latents but {len(labels)} labels")
     names = tuple(class_names) if class_names is not None else tuple(sorted(set(labels)))
     if len(names) < 2:
         raise UnlearnableAttributeError(f"need at least 2 classes, got {list(names)}")
-    index = {c: i for i, c in enumerate(names)}
-    unknown = sorted(set(labels) - set(names))
-    if unknown:
-        raise UnlearnableAttributeError(f"labels outside the class set: {unknown}")
-    counts = {c: labels.count(c) for c in names}
-    missing = [c for c, n in counts.items() if n < 2]
-    if missing:
-        raise UnlearnableAttributeError(
-            f"classes with fewer than 2 samples: {missing}"
-        )
-
-    k = len(names)
-    Y = np.zeros((X.shape[0], k))
-    Y[np.arange(X.shape[0]), [index[y] for y in labels]] = 1.0
-
-    tr, te = _split(X.shape[0], cfg)
-    Xtr, Ytr = X[tr], Y[tr]
-    W = np.zeros((k, X.shape[1]))
-    b = np.zeros(k)
-    vW = np.zeros_like(W)
-    vb = np.zeros_like(b)
-    loss = float("nan")
-    for epoch in range(cfg.epochs):
-        loss, gW, gb = softmax_loss_and_grad(W, b, Xtr, Ytr, cfg.l2_penalty)
-        if not np.isfinite(loss):
-            raise DivergenceError(epoch)
-        vW = cfg.momentum * vW - cfg.learning_rate * gW
-        vb = cfg.momentum * vb - cfg.learning_rate * gb
-        W += vW
-        b += vb
-    loss = softmax_loss_and_grad(W, b, Xtr, Ytr, cfg.l2_penalty)[0]
-    if not np.isfinite(loss):
-        raise DivergenceError(cfg.epochs)
-
-    pred = np.argmax(X[te] @ W.T + b, axis=1)
-    accuracy = float(np.mean(pred == np.argmax(Y[te], axis=1)))
-    meta = TrainingMeta(epochs_run=cfg.epochs, final_loss=loss, test_accuracy=accuracy)
-    return MultiClassLatentClassifier(W, b, names, meta)
+    W, b, Xte, yte, meta = _fit_classes(latents, labels, names, cfg, cfg.l2_penalty)
+    accuracy = float(np.mean(np.argmax(Xte @ W.T + b, axis=1) == yte))
+    return MultiClassLatentClassifier(W, b, names, replace(meta, test_accuracy=accuracy))
 
 
 def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> LatentRegressor:

@@ -9,6 +9,7 @@ shortest round-trip repr via the json module).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .models import (
     TrainingConfig,
     TrainingMeta,
 )
-from .world import SyntheticWorld, SyntheticImage, WorldConfig
+from .world import SyntheticWorld, SyntheticImage, WorldConfig, direction_slots
 
 __all__ = [
     "BUNDLE_FORMAT_VERSION",
@@ -70,12 +71,56 @@ def _read_json(path) -> dict:
     return payload
 
 
-def _require(payload: dict, key: str, where: str):
+_REQUIRED = object()
+_KINDS = {str: "a string", int: "an integer", float: "a finite number", list: "a list",
+          dict: "an object"}
+
+
+def _require(payload: dict, key: str, where: str, default=_REQUIRED):
     if not isinstance(payload, dict):
         raise FormatError(f"{where}: expected a JSON object")
-    if key not in payload:
+    if key not in payload and default is _REQUIRED:
         raise FormatError(f"{where}: missing field {key!r}")
-    return payload[key]
+    return payload.get(key, default)
+
+
+def _field(payload: dict, key: str, where: str, kind: type, default=_REQUIRED):
+    """payload[key], checked to be of kind: str, int, float, list or dict.
+
+    A missing field reads default; null reads None only where the default is
+    None. Any other wrong-typed value raises FormatError naming the field.
+    """
+    value = _require(payload, key, where, default)
+    if value is None and default is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        raise FormatError(f"{where}: field {key!r} must be {_KINDS[kind]}, "
+                          f"got {json.dumps(value)[:40]}")
+    return float(value) if kind is float else value
+
+
+def _array(payload: dict, key: str, where: str, shape: tuple, default=_REQUIRED):
+    """A list field as a float array of finite numbers; None in shape matches any length."""
+    value = _field(payload, key, where, list, default)
+    if value is None:
+        return None
+    try:
+        a = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        a = np.array(np.nan)
+    if (a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape))
+            or not np.isfinite(a).all()):
+        raise FormatError(f"{where}: field {key!r} must be a {len(shape)}-D array of "
+                          "finite numbers")
+    return a
+
+
+def _strings(payload: dict, key: str, where: str) -> tuple[str, ...]:
+    value = _require(payload, key, where)
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise FormatError(f"{where}: field {key!r} must be a list of strings")
+    return tuple(value)
 
 
 def _check_version(payload: dict, expected: int, where: str) -> None:
@@ -95,16 +140,13 @@ def schema_to_payload(attr: AttributeSchema) -> dict:
 
 
 def payload_to_schema(payload: dict, where: str = "schema") -> AttributeSchema:
-    name = _require(payload, "name", where)
-    kind = _require(payload, "kind", where)
+    name = _field(payload, "name", where, str)
+    kind = _field(payload, "kind", where, str)
     if kind == CONTINUOUS:
-        lo, hi = _require(payload, "range", where)
+        lo, hi = _array(payload, "range", where, (2,))
         return AttributeSchema.continuous(name, float(lo), float(hi))
     if kind in (BINARY, MULTICLASS):
-        classes = _require(payload, "classes", where)
-        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-            raise FormatError(f"{where}: 'classes' must be a list of strings")
-        return AttributeSchema(name, kind, tuple(classes))
+        return AttributeSchema(name, kind, _strings(payload, "classes", where))
     raise FormatError(f"{where}: unknown attribute kind {kind!r}")
 
 
@@ -116,90 +158,66 @@ def _meta_to_payload(meta: TrainingMeta) -> dict:
     return {
         "epochs_run": meta.epochs_run,
         "final_loss": None if np.isnan(meta.final_loss) else meta.final_loss,
+        "grad_norm": None if np.isnan(meta.grad_norm) else meta.grad_norm,
         "test_accuracy": meta.test_accuracy,
         "test_rmse": meta.test_rmse,
     }
 
 
-def _payload_to_meta(payload: dict) -> TrainingMeta:
-    return TrainingMeta(
-        epochs_run=int(payload.get("epochs_run", 0)),
-        final_loss=float("nan") if payload.get("final_loss") is None else float(payload["final_loss"]),
-        test_accuracy=payload.get("test_accuracy"),
-        test_rmse=payload.get("test_rmse"),
-    )
+def _payload_to_meta(payload: dict, where: str) -> TrainingMeta:
+    """Every field is optional; a missing or null loss or gradient norm reads NaN."""
+    num = {key: _field(payload, key, where, float, None)
+           for key in ("final_loss", "grad_norm", "test_accuracy", "test_rmse")}
+    for key in ("final_loss", "grad_norm"):
+        num[key] = float("nan") if num[key] is None else num[key]
+    return TrainingMeta(epochs_run=_field(payload, "epochs_run", where, int, 0), **num)
 
 
 def _model_to_payload(model) -> dict:
-    if isinstance(model, BinaryLatentClassifier):
-        return {
-            "kind": BINARY,
-            "direction": model.hyperplane.direction.tolist(),
-            "intercept": model.hyperplane.intercept,
-            "negative_class": model.negative_class,
-            "positive_class": model.positive_class,
-            "training_meta": _meta_to_payload(model.training_meta),
-        }
     if isinstance(model, MultiClassLatentClassifier):
-        return {
+        payload = {
             "kind": MULTICLASS,
             "class_weights": model.class_weights.tolist(),
             "class_intercepts": model.class_intercepts.tolist(),
             "class_names": list(model.class_names),
-            "training_meta": _meta_to_payload(model.training_meta),
         }
-    if isinstance(model, LatentRegressor):
-        return {
-            "kind": "regressor",
-            "direction": model.line.direction.tolist(),
-            "intercept": model.line.intercept,
-            "training_meta": _meta_to_payload(model.training_meta),
-        }
-    raise FormatError(f"cannot serialize model type {type(model).__name__}")
+    elif isinstance(model, (BinaryLatentClassifier, LatentRegressor)):
+        binary = isinstance(model, BinaryLatentClassifier)
+        plane = model.hyperplane if binary else model.line
+        payload = {"kind": BINARY if binary else "regressor",
+                   "direction": plane.direction.tolist(), "intercept": plane.intercept}
+        if binary:
+            payload.update(negative_class=model.negative_class, positive_class=model.positive_class)
+    else:
+        raise FormatError(f"cannot serialize model type {type(model).__name__}")
+    payload["training_meta"] = _meta_to_payload(model.training_meta)
+    return payload
 
 
 def _payload_to_model(payload: dict, where: str):
-    kind = _require(payload, "kind", where)
-    meta = _payload_to_meta(payload.get("training_meta", {}))
-    if kind == BINARY:
-        h = Hyperplane(np.array(_require(payload, "direction", where)),
-                       float(_require(payload, "intercept", where)))
-        return BinaryLatentClassifier(h, _require(payload, "positive_class", where),
-                                      _require(payload, "negative_class", where), meta)
+    kind = _field(payload, "kind", where, str)
+    meta = _payload_to_meta(_field(payload, "training_meta", where, dict, {}),
+                            f"{where}.training_meta")
+    if kind in (BINARY, "regressor"):
+        h = Hyperplane(_array(payload, "direction", where, (None,)),
+                       _field(payload, "intercept", where, float))
+        if kind == "regressor":
+            return LatentRegressor(h, meta)
+        return BinaryLatentClassifier(h, _field(payload, "positive_class", where, str),
+                                      _field(payload, "negative_class", where, str), meta)
     if kind == MULTICLASS:
         return MultiClassLatentClassifier(
-            np.array(_require(payload, "class_weights", where)),
-            np.array(_require(payload, "class_intercepts", where)),
-            tuple(_require(payload, "class_names", where)),
+            _array(payload, "class_weights", where, (None, None)),
+            _array(payload, "class_intercepts", where, (None,)),
+            _strings(payload, "class_names", where),
             meta,
         )
-    if kind == "regressor":
-        h = Hyperplane(np.array(_require(payload, "direction", where)),
-                       float(_require(payload, "intercept", where)))
-        return LatentRegressor(h, meta)
     raise FormatError(f"{where}: unknown model kind {kind!r}")
 
 
-def _train_config_to_payload(cfg: TrainingConfig) -> dict:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-        "l2_penalty": cfg.l2_penalty,
-        "split_fraction": cfg.split_fraction,
-        "seed": cfg.seed,
-        "momentum": cfg.momentum,
-    }
-
-
-def _payload_to_train_config(payload: dict, where: str) -> TrainingConfig:
-    return TrainingConfig(
-        learning_rate=float(_require(payload, "learning_rate", where)),
-        epochs=int(_require(payload, "epochs", where)),
-        l2_penalty=float(_require(payload, "l2_penalty", where)),
-        split_fraction=float(_require(payload, "split_fraction", where)),
-        seed=int(_require(payload, "seed", where)),
-        momentum=float(payload.get("momentum", 0.9)),
-    )
+# the fields a bundle records of its TrainingConfig; older files also carry
+# learning_rate and momentum, which the Newton fit does not use
+_TRAIN_FIELDS = {"epochs": int, "l2_penalty": float, "split_fraction": float, "seed": int}
 
 
 def bundle_to_payload(bundle: ModelBundle) -> dict:
@@ -214,7 +232,8 @@ def bundle_to_payload(bundle: ModelBundle) -> dict:
         payload["provenance"] = {
             "world_seed": bundle.provenance.world_seed,
             "n_samples": bundle.provenance.n_samples,
-            "training_config": _train_config_to_payload(bundle.provenance.train_config),
+            "training_config": {k: getattr(bundle.provenance.train_config, k)
+                                for k in _TRAIN_FIELDS},
             "metrics": dict(bundle.provenance.metrics),
         }
     return payload
@@ -224,23 +243,23 @@ def payload_to_bundle(payload: dict, where: str = "bundle") -> ModelBundle:
     _check_version(payload, BUNDLE_FORMAT_VERSION, where)
     schema = tuple(
         payload_to_schema(p, f"{where}.schema[{i}]")
-        for i, p in enumerate(_require(payload, "schema", where))
+        for i, p in enumerate(_field(payload, "schema", where, list))
     )
-    models_payload = _require(payload, "models", where)
     models = {
         name: _payload_to_model(p, f"{where}.models[{name}]")
-        for name, p in models_payload.items()
+        for name, p in _field(payload, "models", where, dict).items()
     }
     provenance = None
-    if payload.get("provenance") is not None:
-        p = payload["provenance"]
+    p = _field(payload, "provenance", where, dict, None)
+    if p is not None:
         at = f"{where}.provenance"
+        cfg = _field(p, "training_config", at, dict)
         provenance = BundleProvenance(
-            world_seed=int(_require(p, "world_seed", at)),
-            n_samples=int(_require(p, "n_samples", at)),
-            train_config=_payload_to_train_config(_require(p, "training_config", at),
-                                                  f"{at}.training_config"),
-            metrics=dict(p.get("metrics", {})),
+            world_seed=_field(p, "world_seed", at, int),
+            n_samples=_field(p, "n_samples", at, int),
+            train_config=TrainingConfig(**{k: _field(cfg, k, f"{at}.training_config", kind)
+                                           for k, kind in _TRAIN_FIELDS.items()}),
+            metrics=_field(p, "metrics", at, dict, {}),
         )
     return ModelBundle(schema, models, provenance)
 
@@ -258,19 +277,18 @@ def load_bundle(path) -> ModelBundle:
 # --------------------------------------------------------------------------
 
 def parse_world_config(payload: dict, where: str = "world config") -> WorldConfig:
-    dim = int(_require(payload, "dim", where))
+    dim = _field(payload, "dim", where, int)
     attrs = tuple(
         payload_to_schema(p, f"{where}.attributes[{i}]")
-        for i, p in enumerate(_require(payload, "attributes", where))
+        for i, p in enumerate(_field(payload, "attributes", where, list))
     )
-    ent = payload.get("entanglement")
     return WorldConfig(
         dim=dim,
         attributes=attrs,
-        entanglement=None if ent is None else np.array(ent, dtype=np.float64),
-        label_noise=float(payload.get("label_noise", 0.0)),
-        continuous_profile=payload.get("continuous_profile", "linear"),
-        seed=int(payload.get("seed", 0)),
+        entanglement=_array(payload, "entanglement", where, (None, None), None),
+        label_noise=_field(payload, "label_noise", where, float, 0.0),
+        continuous_profile=_field(payload, "continuous_profile", where, str, "linear"),
+        seed=_field(payload, "seed", where, int, 0),
     )
 
 
@@ -304,13 +322,15 @@ def world_to_payload(world: SyntheticWorld) -> dict:
 def payload_to_world(payload: dict, where: str = "world") -> SyntheticWorld:
     _check_version(payload, WORLD_FORMAT_VERSION, where)
     cfg = parse_world_config(_require(payload, "config", where), f"{where}.config")
-    entries = _require(payload, "directions", where)
     slots, directions, intercepts = [], [], []
-    for i, e in enumerate(entries):
+    for i, e in enumerate(_field(payload, "directions", where, list)):
         at = f"{where}.directions[{i}]"
-        slots.append((_require(e, "attribute", at), e.get("class_name")))
-        directions.append(_require(e, "direction", at))
-        intercepts.append(_require(e, "intercept", at))
+        slots.append((_field(e, "attribute", at, str),
+                      _field(e, "class_name", at, str, None)))
+        directions.append(_array(e, "direction", at, (cfg.dim,)))
+        intercepts.append(_field(e, "intercept", at, float))
+    if tuple(slots) != direction_slots(cfg.attributes):
+        raise FormatError(f"{where}: 'directions' do not list the attributes' direction slots")
     return SyntheticWorld(cfg, np.array(directions, dtype=np.float64),
                           np.array(intercepts, dtype=np.float64), tuple(slots))
 

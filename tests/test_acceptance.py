@@ -208,7 +208,7 @@ def test_criterion_06_hyperplane_recovery():
         AttributeSchema.continuous("v", -6.0, 6.0),
     )
     world = build_world(WorldConfig(dim=64, attributes=attrs, continuous_profile="linear", seed=41))
-    cfg = TrainingConfig(learning_rate=1.0, epochs=3000, l2_penalty=1e-6, momentum=0.98, seed=11)
+    cfg = TrainingConfig(epochs=3000, l2_penalty=1e-6, seed=11)
     bundle = run_training(world, 10000, cfg)
     metrics = bundle.provenance.metrics
 
@@ -294,7 +294,7 @@ def test_criterion_08_entangled_accuracy():
         AttributeSchema.binary("style", "tee", "dress"),
     )
     world = build_world(WorldConfig(dim=64, attributes=attrs, entanglement=ent, seed=57))
-    bundle = run_training(world, 10000, TrainingConfig(learning_rate=1.0, epochs=1000, seed=3))
+    bundle = run_training(world, 10000, TrainingConfig(epochs=1000, seed=3))
     learned_cos = cosine_report(bundle).value("pose", "style")
     assert abs(learned_cos - 0.57) <= 0.1
 
@@ -312,7 +312,7 @@ def test_criterion_09_multiclass_conditioning():
     t0 = time.perf_counter()
     attrs = (AttributeSchema.multiclass("hair", ("black", "brown", "blond")),)
     world = build_world(WorldConfig(dim=64, attributes=attrs, seed=9))
-    bundle = run_training(world, 10000, TrainingConfig(learning_rate=1.0, epochs=800, seed=5))
+    bundle = run_training(world, 10000, TrainingConfig(epochs=800, seed=5))
     cfg = DirectorConfig(multiclass_max_redirects=3)
     rng = np.random.default_rng(1009)
     hits = 0
@@ -334,7 +334,7 @@ def test_criterion_09_multiclass_conditioning():
 def test_criterion_10_entanglement_sweep(tmp_path):
     """Joint accuracy at cosine 0.0 beats cosine 0.99 by at least 0.05; CSV emitted."""
     t0 = time.perf_counter()
-    cfg = SweepConfig(dim=32, seed=0, train=TrainingConfig(learning_rate=1.0, epochs=800, seed=1))
+    cfg = SweepConfig(dim=32, seed=0, train=TrainingConfig(epochs=800, seed=1))
     result = sweep_entanglement([0.0, 0.99], trials=3000, n_samples=5000, cfg=cfg)
     assert not result.errors
     by_cos = {row.cosine: row.joint_accuracy for row in result.rows}

@@ -1,12 +1,16 @@
-"""Every name a demo imports from latentsteer exists, so removing an API cannot silently break a demo."""
+"""Every demo runs to completion, and every name it imports from latentsteer exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -20,3 +24,12 @@ def test_demo_imports_exist(demo):
                 assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name} is gone"
                 imported += 1
     assert imported, f"{demo.name} imports nothing from latentsteer"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    """A demo that calls a removed keyword or option fails here, not only at import."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

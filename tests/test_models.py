@@ -1,5 +1,7 @@
 """Linear model training: logistic, softmax, ridge, and their gradients."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from latentsteer import (
     fit_regressor,
     sample_latents,
 )
-from latentsteer.models import logistic_loss_and_grad, softmax_loss_and_grad
+from latentsteer.models import GRAD_TOL, _split, logistic_loss_and_grad, softmax_loss_and_grad
 
 
 def two_clouds(seed=12, n_per=100, center=3.0):
@@ -101,7 +103,6 @@ def test_fit_multiclass_three_clouds():
     cfg = TrainingConfig(seed=1)
     model = fit_multiclass(X, y, cfg)
     # independent oracle on the same draw and the same split
-    from latentsteer.models import _split
     tr, te = _split(len(y), cfg)
     y_arr = np.asarray(y)
     oracle_acc = nearest_centroid_accuracy(X[tr], y_arr[tr], X[te], y_arr[te])
@@ -123,7 +124,6 @@ def test_fit_multiclass_two_class_decisions_match_binary():
     cfg = TrainingConfig(seed=6)
     soft = fit_multiclass(X, y, cfg)
     hard = fit_binary(X, y, cfg, positive_class="hi")
-    from latentsteer.models import _split
     _, te = _split(len(y), cfg)
     for z in X[te]:
         assert soft.predict(z) == hard.predict(z)
@@ -165,7 +165,6 @@ def test_fit_regressor_beats_mean_predictor_on_sigmoid_targets():
     targets = 1.0 / (1.0 + np.exp(-(Z @ g)))
     cfg = TrainingConfig(seed=4)
     model = fit_regressor(Z, targets, cfg)
-    from latentsteer.models import _split
     tr, te = _split(len(targets), cfg)
     mean_rmse = float(np.sqrt(np.mean((targets[te] - targets[tr].mean()) ** 2)))
     assert np.isfinite(model.training_meta.test_rmse)
@@ -280,8 +279,6 @@ def test_bundle_rejects_mismatched_dims():
 
 def test_training_config_validation():
     with pytest.raises(ValueError):
-        TrainingConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
         TrainingConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainingConfig(split_fraction=1.0)
@@ -294,3 +291,71 @@ def test_attribute_schema_validation():
         AttributeSchema.binary("b", "same", "same")
     with pytest.raises(ValueError):
         AttributeSchema.continuous("c", 1.0, 1.0)
+
+
+def noisy_linear_labels(n=4000, dim=16, seed=40):
+    """Latents labelled by a noisy linear rule over three directions: neither fit is separable."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((3, dim))
+    Z = sample_latents(n, dim, seed=seed + 1)
+    scores = Z @ G.T + rng.standard_normal((n, 3))
+    return Z, [("c0", "c1", "c2")[i] for i in scores.argmax(axis=1)], scores[:, 0] >= 0
+
+
+def test_default_fits_are_stationary_points():
+    Z, classes, positive = noisy_linear_labels()
+    cfg = TrainingConfig()
+    tr, _ = _split(len(Z), cfg)
+
+    binary = fit_binary(Z, ["pos" if p else "neg" for p in positive], cfg, positive_class="pos")
+    plane = binary.hyperplane
+    _, gw, gb = logistic_loss_and_grad(plane.direction, plane.intercept, Z[tr],
+                                       positive[tr].astype(float), cfg.l2_penalty)
+    assert max(np.abs(gw).max(), abs(gb)) <= 1e-6
+
+    multi = fit_multiclass(Z, classes, cfg)
+    Y = np.array([[c == name for name in multi.class_names] for c in classes], dtype=float)
+    _, gW, gb = softmax_loss_and_grad(multi.class_weights, multi.class_intercepts, Z[tr], Y[tr],
+                                      cfg.l2_penalty)
+    assert max(np.abs(gW).max(), np.abs(gb).max()) <= 1e-6
+
+    for meta in (binary.training_meta, multi.training_meta):
+        assert meta.grad_norm <= GRAD_TOL
+        assert 1 <= meta.epochs_run < 50
+
+
+def test_unpenalized_fit_on_separable_data_stays_finite():
+    X, y, separable = two_clouds(seed=12)
+    assert separable
+    cfg = TrainingConfig(l2_penalty=0.0, seed=0)
+    binary = fit_binary(X, y, cfg, positive_class="hi")
+    multi = fit_multiclass(X, y, cfg)
+    assert np.isfinite(binary.hyperplane.direction).all() and np.isfinite(binary.hyperplane.intercept)
+    assert np.isfinite(multi.class_weights).all() and np.isfinite(multi.class_intercepts).all()
+    assert binary.training_meta.test_accuracy == 1.0 == multi.training_meta.test_accuracy
+    for z in X:
+        assert binary.predict(z) == multi.predict(z)
+
+
+def test_old_bundle_payload_with_descent_knobs_loads_and_resaves_without_them():
+    from latentsteer import BundleProvenance
+    from latentsteer.persist import bundle_to_payload, json_bytes, payload_to_bundle
+
+    X, y, _ = two_clouds(seed=12)
+    cfg = TrainingConfig(epochs=40, seed=0)
+    model = fit_binary(X, y, cfg, positive_class="hi")
+    schema = (AttributeSchema.binary("side", "lo", "hi"),)
+    payload = bundle_to_payload(ModelBundle(schema, {"side": model},
+                                            BundleProvenance(1, 200, cfg, {"side": 1.0})))
+    old = json.loads(json_bytes(payload))
+    old["provenance"]["training_config"].update(learning_rate=1.0, momentum=0.98)
+    del old["models"]["side"]["training_meta"]["grad_norm"]
+
+    loaded = payload_to_bundle(old)
+    assert np.isnan(loaded.models["side"].training_meta.grad_norm)
+    assert loaded.provenance.train_config == TrainingConfig(epochs=40, seed=0)
+    resaved = bundle_to_payload(loaded)
+    assert set(resaved["provenance"]["training_config"]) == {
+        "epochs", "l2_penalty", "split_fraction", "seed"}
+    assert resaved["models"]["side"]["training_meta"]["grad_norm"] is None
+    assert json_bytes(bundle_to_payload(payload_to_bundle(resaved))) == json_bytes(resaved)

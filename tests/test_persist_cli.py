@@ -1,9 +1,16 @@
 """File formats and the command-line surface."""
 
+import contextlib
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentsteer import (
     AttributeSchema,
@@ -52,7 +59,10 @@ def test_bundle_payload_carries_provenance_and_meta():
     assert payload["format_version"] == 1
     assert payload["latent_dim"] == 12
     assert payload["provenance"]["n_samples"] == 400
-    assert payload["provenance"]["training_config"]["momentum"] == 0.9
+    assert set(payload["provenance"]["training_config"]) == {
+        "epochs", "l2_penalty", "split_fraction", "seed"}
+    assert payload["models"]["style"]["training_meta"]["grad_norm"] <= 1e-8
+    assert payload["models"]["smile"]["training_meta"]["grad_norm"] is None
     assert set(payload["models"]) == {"style", "hair", "smile"}
 
 
@@ -323,7 +333,7 @@ def test_cli_unknown_command_exits_2():
 BUNDLE_KEYS = [(("models", "style"), key) for key in ("positive_class", "negative_class")]
 BUNDLE_KEYS += [(("provenance",), key) for key in ("world_seed", "n_samples", "training_config")]
 BUNDLE_KEYS += [(("provenance", "training_config"), key)
-                for key in ("learning_rate", "epochs", "l2_penalty", "split_fraction", "seed")]
+                for key in ("epochs", "l2_penalty", "split_fraction", "seed")]
 WORLD_KEYS = [(("directions", 0), key) for key in ("attribute", "direction", "intercept")]
 
 
@@ -359,3 +369,107 @@ def test_cli_world_init_rejects_string_classes(tmp_path, capsys):
     cfg.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["world-init", "--config", str(cfg), "--out", str(tmp_path / "w.json")]) == 2
     assert "list of strings" in capsys.readouterr().err
+
+
+def _write_and_eval(tmp_dir, payloads, mode="cosine", trials=2):
+    """Write the payloads as bundle.json and world.json, run `eval`, return (exit code, stderr)."""
+    for name, payload in payloads.items():
+        (Path(tmp_dir) / f"{name}.json").write_bytes(json_bytes(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--bundle", str(Path(tmp_dir) / "bundle.json"),
+                     "--world", str(Path(tmp_dir) / "world.json"), "--mode", mode,
+                     "--trials", str(trials)])
+    return code, err.getvalue()
+
+
+@functools.cache
+def _trained_files():
+    world = small_world()
+    bundle = run_training(world, 400, TrainingConfig(epochs=50, seed=1))
+    return {"bundle": json_bytes(bundle_to_payload(bundle)), "world": json_bytes(world_to_payload(world))}
+
+
+def trained_payloads():
+    """Fresh payloads of a trained bundle with provenance and of its world; trained once."""
+    return {name: json.loads(data) for name, data in _trained_files().items()}
+
+
+BAD_FIELDS = [
+    ("bundle", ("provenance",), "world_seed", None),
+    ("bundle", ("models", "style"), "intercept", None),
+    ("bundle", ("models", "style", "training_meta"), "epochs_run", None),
+    ("bundle", (), "schema", 5),
+    ("bundle", (), "models", []),
+    ("world", ("config",), "dim", None),
+    ("world", (), "directions", 3),
+    ("world", ("config",), "label_noise", None),
+    # numbers that do not fit a float: json writes Infinity and a 401-digit integer
+    ("bundle", ("models", "style"), "intercept", float("inf")),
+    ("world", ("directions", 0), "intercept", 10**400),
+]
+
+
+@pytest.mark.parametrize("which,path,key,value", BAD_FIELDS,
+                         ids=[".".join(map(str, (w, *p, k, type(v).__name__)))
+                              for w, p, k, v in BAD_FIELDS])
+def test_cli_wrong_typed_or_non_finite_field_exits_2(tmp_path, which, path, key, value):
+    payloads = trained_payloads()
+    node = payloads[which]
+    for step in path:
+        node = node[step]
+    node[key] = value
+    code, err = _write_and_eval(tmp_path, payloads)
+    assert code == 2
+    assert err.startswith("error:") and f"{which}.json" in err and repr(key) in err
+
+
+_JSON_KINDS = ((type(None), "null"), (bool, "bool"), ((int, float), "number"), (str, "string"),
+               (list, "array"), (dict, "object"))
+_REPLACEMENTS = [None, True, 3, 0.5, "x", [], [1.0], {}, {"x": 1}]
+
+
+def _json_kind(value):
+    return next(name for types, name in _JSON_KINDS if isinstance(value, types))
+
+
+def _node_paths(node, prefix=()):
+    """Every node of a JSON tree; of a list, only the first and the last element."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _node_paths(child, prefix + (key,))
+    elif isinstance(node, list) and node:
+        for i in sorted({0, len(node) - 1}):
+            yield from _node_paths(node[i], prefix + (i,))
+
+
+@st.composite
+def type_mutations(draw):
+    which = draw(st.sampled_from(["bundle", "world"]))
+    paths = list(_node_paths(trained_payloads()[which]))
+    path = draw(st.sampled_from(paths))
+    node = trained_payloads()[which]
+    for step in path:
+        node = node[step]
+    value = draw(st.sampled_from([v for v in _REPLACEMENTS if _json_kind(v) != _json_kind(node)]))
+    return which, path, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(type_mutations(), st.sampled_from(["cosine", "latent", "end2end"]))
+def test_cli_single_field_type_mutation_exits_0_or_2(mutation, mode):
+    which, path, value = mutation
+    payloads = trained_payloads()
+    if path:
+        node = payloads[which]
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    else:
+        payloads[which] = value
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        code, err = _write_and_eval(tmp_dir, payloads, mode)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error:")

@@ -31,7 +31,7 @@ def orthogonal_world(dim=32, seed=5, label_noise=0.0, profile="linear"):
                                    continuous_profile=profile, seed=seed))
 
 
-FAST = TrainingConfig(learning_rate=1.0, epochs=300, seed=2)
+FAST = TrainingConfig(epochs=300, seed=2)
 
 
 def test_run_training_requires_min_samples():
@@ -58,7 +58,7 @@ def test_run_training_metrics_and_determinism():
 def test_run_training_noiseless_binary_accuracy_bar():
     # converged fits on a noiseless linear world should be near-perfect
     world = orthogonal_world(dim=64, seed=8)
-    bundle = run_training(world, 10000, TrainingConfig(learning_rate=1.0, epochs=1000, seed=3))
+    bundle = run_training(world, 10000, TrainingConfig(epochs=1000, seed=3))
     assert bundle.provenance.metrics["style"] >= 0.99
     assert bundle.provenance.metrics["pose"] >= 0.99
 
@@ -113,7 +113,7 @@ def test_eval_paper_literal_accuracy_near_chance():
 
 def test_eval_end_to_end_learned_models_noiseless():
     world = orthogonal_world(dim=32, seed=9)
-    bundle = run_training(world, 4000, TrainingConfig(learning_rate=1.0, epochs=500, seed=4))
+    bundle = run_training(world, 4000, TrainingConfig(epochs=500, seed=4))
     report = eval_end_to_end(bundle, world, 1000, EvalConfig(seed=19))
     assert report.mode == "end2end"
     for name in ("style", "pose"):
@@ -124,7 +124,7 @@ def test_eval_end_to_end_learned_models_noiseless():
 def test_eval_end_to_end_with_training_label_noise():
     # symmetric label noise at train time, judged noiselessly
     world = orthogonal_world(dim=32, seed=10, label_noise=0.1)
-    bundle = run_training(world, 10000, TrainingConfig(learning_rate=1.0, epochs=500, seed=5))
+    bundle = run_training(world, 10000, TrainingConfig(epochs=500, seed=5))
     report = eval_end_to_end(bundle, world, 1000, EvalConfig(seed=23))
     for name in ("style", "pose"):
         assert report.accuracy[name] >= 0.85
@@ -153,7 +153,7 @@ def test_eval_rejects_zero_trials():
 
 def test_cosine_report_identity_world():
     world = orthogonal_world(dim=64, seed=14)
-    bundle = run_training(world, 10000, TrainingConfig(learning_rate=1.0, epochs=500, seed=6))
+    bundle = run_training(world, 10000, TrainingConfig(epochs=500, seed=6))
     report = cosine_report(bundle)
     assert report.names == ("style", "pose", "level")
     off = report.matrix - np.eye(3)
@@ -166,7 +166,7 @@ def test_cosine_report_recovers_configured_entanglement():
     ent = np.array([[1.0, 0.57], [0.57, 1.0]])
     attrs = (AttributeSchema.binary("pose", "b", "f"), AttributeSchema.binary("style", "t", "d"))
     world = build_world(WorldConfig(dim=64, attributes=attrs, entanglement=ent, seed=15))
-    bundle = run_training(world, 10000, TrainingConfig(learning_rate=1.0, epochs=500, seed=7))
+    bundle = run_training(world, 10000, TrainingConfig(epochs=500, seed=7))
     report = cosine_report(bundle)
     assert abs(report.value("pose", "style") - 0.57) <= 0.1
 
@@ -192,14 +192,14 @@ def test_cosine_report_multiclass_one_vs_rest_rows():
 
 
 def test_sweep_orthogonal_point_has_high_joint_accuracy():
-    cfg = SweepConfig(dim=16, seed=1, train=TrainingConfig(learning_rate=1.0, epochs=300, seed=1))
+    cfg = SweepConfig(dim=16, seed=1, train=TrainingConfig(epochs=300, seed=1))
     result = sweep_entanglement([0.0], trials=500, n_samples=1500, cfg=cfg)
     assert len(result.rows) == 1 and not result.errors
     assert result.rows[0].joint_accuracy >= 0.95
 
 
 def test_sweep_collects_invalid_cosines():
-    cfg = SweepConfig(dim=16, seed=1, train=TrainingConfig(learning_rate=1.0, epochs=200, seed=1))
+    cfg = SweepConfig(dim=16, seed=1, train=TrainingConfig(epochs=200, seed=1))
     result = sweep_entanglement([0.0, 1.2], trials=200, n_samples=800, cfg=cfg)
     assert len(result.rows) == 1
     assert len(result.errors) == 1 and result.errors[0][0] == 1.2
