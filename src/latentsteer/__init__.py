@@ -74,6 +74,8 @@ from .world import (
     build_world,
     generate_image,
     oracle_label,
+    read_batch,
+    render_batch,
 )
 
 __version__ = "0.1.0"

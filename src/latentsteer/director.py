@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateModelError, DimensionMismatchError
 from .geometry import as_latent
-from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, CompiledBundle, ModelBundle
+from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, CompiledBundle, ModelBundle, decide
 from .world import AttributeLabels
 
 __all__ = [
@@ -72,10 +72,6 @@ class ConditioningSpec:
         overlap = set(self.discrete) & set(self.continuous)
         if overlap:
             raise ConditioningError(f"attributes targeted as both discrete and continuous: {sorted(overlap)}")
-
-    @property
-    def empty(self) -> bool:
-        return not self.discrete and not self.continuous
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,7 @@ class BatchUpdate:
             if kind == CONTINUOUS:
                 met &= np.isnan(target) | (np.abs(after[:, 0] - target) <= 1e-9)
             else:
-                met &= (target < 0) | (_decide(kind, after) == target)
+                met &= (target < 0) | (decide(kind, after) == target)
         return met
 
 
@@ -195,18 +191,9 @@ def _scores(m: CompiledBundle, Z: np.ndarray) -> np.ndarray:
     return np.einsum("nd,rd->nr", Z, m.weights) + m.intercepts
 
 
-def _decide(kind: str, block: np.ndarray) -> np.ndarray:
-    """Class index per row of one discrete attribute's scores: the one tie rule.
-
-    A binary score of 0 or more is the positive class (index 1); multiclass
-    argmax ties go to the lowest class index.
-    """
-    return (block[:, 0] >= 0.0).astype(np.intp) if kind == BINARY else np.argmax(block, axis=1)
-
-
 def _labels(m: CompiledBundle, S: np.ndarray) -> list[AttributeLabels]:
     """Attribute readout of every row of scores."""
-    discrete = [(name, classes, _decide(kind, S[:, rows]))
+    discrete = [(name, classes, decide(kind, S[:, rows]))
                 for name, kind, rows, classes in m.blocks if kind != CONTINUOUS]
     continuous = [(name, S[:, rows.start]) for name, kind, rows, _ in m.blocks if kind == CONTINUOUS]
     return [AttributeLabels({name: classes[idx[i]] for name, classes, idx in discrete},
@@ -262,7 +249,7 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
     count = np.zeros(len(Z), dtype=np.intp)
     active = np.arange(len(Z))
     for _ in range(cfg.multiclass_max_redirects):
-        current = _decide(MULTICLASS, np.einsum("nd,kd->nk", z_work[active], weights) + intercepts)
+        current = decide(MULTICLASS, np.einsum("nd,kd->nk", z_work[active], weights) + intercepts)
         keep = current != desired[active]
         active, current = active[keep], current[keep]
         if not active.size:
@@ -320,7 +307,7 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
         else:
             target = np.array([classes.index(sp.discrete[name]) if name in sp.discrete else -1
                                for sp in specs], dtype=np.intp)
-            go = mismatch[name] = (target >= 0) & (target != _decide(kind, S[:, rows]))
+            go = mismatch[name] = (target >= 0) & (target != decide(kind, S[:, rows]))
         targets.append(target)
         if kind == BINARY and m.norms[r] == 0.0:
             raise DegenerateModelError("hyperplane direction has zero norm")

@@ -36,6 +36,7 @@ __all__ = [
     "CompiledBundle",
     "BundleProvenance",
     "LatentModel",
+    "decide",
     "fit_binary",
     "fit_multiclass",
     "fit_regressor",
@@ -48,6 +49,14 @@ MULTICLASS = "multiclass"
 CONTINUOUS = "continuous"
 
 GRAD_TOL = 1e-8  # a classifier fit stops once max |grad| falls to this
+
+
+def decide(kind: str, scores: np.ndarray) -> np.ndarray:
+    """Class index per row of a discrete attribute's (n, k) scores: the one tie rule.
+
+    A binary score (k = 1) >= 0 is the positive class 1; argmax ties go to the lowest index.
+    """
+    return (scores[:, 0] >= 0.0).astype(np.intp) if kind == BINARY else np.argmax(scores, axis=1)
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,8 @@ class BinaryLatentClassifier:
         return self.hyperplane.dim
 
     def predict(self, z) -> str:
-        return self.positive_class if self.hyperplane.score(z) >= 0.0 else self.negative_class
+        side = decide(BINARY, np.array([[self.hyperplane.score(z)]]))[0]
+        return (self.negative_class, self.positive_class)[side]
 
 
 @dataclass(frozen=True)
@@ -192,7 +202,7 @@ class MultiClassLatentClassifier:
         return self.class_weights @ z + self.class_intercepts
 
     def predict(self, z) -> str:
-        return self.class_names[int(np.argmax(self.scores(z)))]
+        return self.class_names[decide(MULTICLASS, self.scores(z)[None, :])[0]]
 
     def one_vs_rest_direction(self, class_name: str) -> np.ndarray:
         """Weights of one class contrasted against the mean of the others."""
@@ -368,7 +378,7 @@ def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingCon
     W, b, Xte, yte, meta = _fit_classes(latents, labels, (negative, positive), cfg,
                                         2.0 * cfg.l2_penalty)
     h = Hyperplane(W[1] - W[0], float(b[1] - b[0]))
-    accuracy = float(np.mean((Xte @ h.direction + h.intercept >= 0.0) == (yte == 1)))
+    accuracy = float(np.mean(decide(BINARY, (Xte @ h.direction + h.intercept)[:, None]) == yte))
     return BinaryLatentClassifier(h, positive, negative, replace(meta, test_accuracy=accuracy))
 
 
@@ -384,7 +394,7 @@ def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = Trainin
     if len(names) < 2:
         raise UnlearnableAttributeError(f"need at least 2 classes, got {list(names)}")
     W, b, Xte, yte, meta = _fit_classes(latents, labels, names, cfg, cfg.l2_penalty)
-    accuracy = float(np.mean(np.argmax(Xte @ W.T + b, axis=1) == yte))
+    accuracy = float(np.mean(decide(MULTICLASS, Xte @ W.T + b) == yte))
     return MultiClassLatentClassifier(W, b, names, replace(meta, test_accuracy=accuracy))
 
 
@@ -441,6 +451,8 @@ class ModelBundle:
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "models", dict(self.models))
+        if len({a.name for a in self.schema}) != len(self.schema):
+            raise BundleIncompleteError(f"schema repeats an attribute: {[a.name for a in self.schema]}")
         dims = set()
         for attr in self.schema:
             model = self.models.get(attr.name)

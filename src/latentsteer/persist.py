@@ -249,6 +249,9 @@ def payload_to_bundle(payload: dict, where: str = "bundle") -> ModelBundle:
         name: _payload_to_model(p, f"{where}.models[{name}]")
         for name, p in _field(payload, "models", where, dict).items()
     }
+    dim = _field(payload, "latent_dim", where, int)
+    if any(model.dim != dim for model in models.values()):
+        raise FormatError(f"{where}: field 'latent_dim' is {dim}, unlike the models' dim")
     provenance = None
     p = _field(payload, "provenance", where, dict, None)
     if p is not None:

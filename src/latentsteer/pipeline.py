@@ -1,14 +1,14 @@
 """End-to-end training and evaluation over the synthetic world.
 
-run_training drives the generator/oracle loop and fits one latent model per
-attribute. The eval functions steer freshly sampled latents toward random
-targets and score the outcome two ways: by the latent models themselves and
-by the world's own image pathway. sweep_entanglement repeats the whole
-exercise across a range of configured direction cosines.
+run_training labels samples through the world's batched image pathway and
+fits one latent model per attribute. The eval functions steer freshly sampled
+latents toward random targets and score the outcome two ways: by the latent
+models themselves and by the world's own image pathway. sweep_entanglement
+repeats the whole exercise across a range of configured direction cosines.
 
 Per-trial randomness is derived from (seed, trial index), so results do not
 depend on execution order; trials are steered in blocks through
-`condition_batch` and judged one by one.
+`condition_batch` and judged one by one, with one judge call per trial.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .models import (
     fit_multiclass,
     fit_regressor,
 )
-from .world import AttributeLabels, SyntheticWorld, WorldConfig, build_world, generate_image, oracle_label
+from .world import (AttributeLabels, SyntheticWorld, WorldConfig, build_world, generate_image,
+                    oracle_label, read_batch, render_batch)
 
 __all__ = [
     "EvalConfig",
@@ -54,9 +55,8 @@ __all__ = [
     "sweep_entanglement",
 ]
 
-# trials steered per condition_batch call: bounds the eval's working set
-# while amortising the per-call cost
-STEER_BLOCK = 256
+# rows per batched call (eval steering, training labels): bounds the working set
+ROW_BLOCK = 256
 
 
 def _csv_text(header: Sequence, rows) -> str:
@@ -76,16 +76,14 @@ def ground_truth_bundle(world: SyntheticWorld) -> ModelBundle:
     """
     models = {}
     for attr in world.config.attributes:
-        if attr.kind == BINARY:
-            h = Hyperplane(world.direction_for(attr.name), world.intercept_for(attr.name))
-            models[attr.name] = BinaryLatentClassifier(h, attr.classes[1], attr.classes[0])
-        elif attr.kind == MULTICLASS:
+        if attr.kind == MULTICLASS:
             weights = np.stack([world.direction_for(attr.name, c) for c in attr.classes])
             intercepts = np.array([world.intercept_for(attr.name, c) for c in attr.classes])
             models[attr.name] = MultiClassLatentClassifier(weights, intercepts, attr.classes)
         else:
             h = Hyperplane(world.direction_for(attr.name), world.intercept_for(attr.name))
-            models[attr.name] = LatentRegressor(h)
+            models[attr.name] = (BinaryLatentClassifier(h, attr.classes[1], attr.classes[0])
+                                 if attr.kind == BINARY else LatentRegressor(h))
     return ModelBundle(tuple(world.config.attributes), models)
 
 
@@ -100,30 +98,25 @@ def run_training(world: SyntheticWorld, n_samples: int,
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    dim = world.latent_dim
-    Z = sample_latents(n_samples, dim, cfg.seed)
-    if world.config.label_noise > 0.0:
-        noise_seeds = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, 1))
-        ).integers(2**62, size=n_samples)
-    else:
-        noise_seeds = np.zeros(n_samples, dtype=np.int64)
+    Z = sample_latents(n_samples, world.latent_dim, cfg.seed)
+    # read only when the world's labels are noisy
+    noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
 
-    labels = [
-        oracle_label(world, generate_image(world, Z[i]), int(noise_seeds[i]))
-        for i in range(n_samples)
-    ]
+    # a block at a time, so only one block's pixels are alive at once
+    blocks = [read_batch(world, render_batch(world, Z[s:s + ROW_BLOCK]),
+                         noise_seeds[s:s + ROW_BLOCK]) for s in range(0, n_samples, ROW_BLOCK)]
 
     models = {}
     metrics: dict[str, float] = {}
     for attr in world.config.attributes:
+        y = np.concatenate([labels[attr.name] for labels in blocks])
         try:
             if attr.is_discrete:
-                y = [lab.discrete[attr.name] for lab in labels]
+                y = np.take(attr.classes, y).tolist()
                 model = (fit_binary(Z, y, cfg, positive_class=attr.classes[1])
                          if attr.kind == BINARY else fit_multiclass(Z, y, cfg, class_names=attr.classes))
             else:
-                model = fit_regressor(Z, [lab.continuous[attr.name] for lab in labels], cfg)
+                model = fit_regressor(Z, y, cfg)
         except UnlearnableAttributeError as exc:
             raise UnlearnableAttributeError(f"attribute {attr.name!r}: {exc}") from exc
         models[attr.name] = model
@@ -237,8 +230,8 @@ def _run_trials(bundle: ModelBundle, world: SyntheticWorld, trials: int, cfg: Ev
     sq_err = {a.name: 0.0 for a in schema if not a.is_discrete}
     joint_hits = 0
 
-    for start in range(0, trials, STEER_BLOCK):
-        Z = np.empty((min(STEER_BLOCK, trials - start), dim))
+    for start in range(0, trials, ROW_BLOCK):
+        Z = np.empty((min(ROW_BLOCK, trials - start), dim))
         specs = []
         for i in range(len(Z)):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, start + i)))

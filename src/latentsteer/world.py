@@ -7,9 +7,11 @@ the configured entanglement matrix, so tests can control how tangled the
 attributes are.
 
 Rendering is a strip of 8x8 blocks, one per attribute plus one texture
-block: each attribute's value is encoded as its block's mean, and an oracle
-reads the blocks back into labels (optionally flipping discrete labels with
-a configured noise probability).
+block: each attribute's value is encoded as its block's mean (discrete ones
+by the models' tie rule), and an oracle reads the blocks back into labels
+(optionally flipping discrete labels with a configured noise probability).
+Both work on batches (`render_batch`, `read_batch`); `generate_image` and
+`oracle_label`, each a batch of one, judge eval trials one at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionMismatchError, LayoutError, WorldConfigError
-from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema
+from .models import CONTINUOUS, MULTICLASS, AttributeSchema, decide
 
 __all__ = [
     "BLOCK_SIZE",
@@ -31,6 +33,8 @@ __all__ = [
     "AttributeLabels",
     "direction_slots",
     "build_world",
+    "render_batch",
+    "read_batch",
     "generate_image",
     "oracle_label",
 ]
@@ -244,77 +248,75 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
     return SyntheticWorld(cfg, directions, intercepts, slots)
 
 
-def _raw_score(world: SyntheticWorld, z: np.ndarray, slot: int) -> float:
-    return float(world.directions[slot] @ z + world.intercepts[slot])
+def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
+    """Pixel strips (n, BLOCK_SIZE, BLOCK_SIZE * blocks) of (n, dim) latents.
+
+    One einsum scores a row the same way alone or in a batch, so row i is
+    the render of Z[i] alone.
+    """
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != world.latent_dim:
+        raise DimensionMismatchError(world.latent_dim, Z.shape[-1], what="latent vector")
+    S = np.einsum("nd,sd->ns", Z, world.directions) + world.intercepts
+    attrs = world.config.attributes
+    means = np.empty((len(Z), len(attrs)))
+    start = 0
+    for i, attr in enumerate(attrs):
+        stop = start + (len(attr.classes) if attr.kind == MULTICLASS else 1)  # its slots
+        raw, start = S[:, start:stop], stop
+        if attr.is_discrete:
+            means[:, i] = decide(attr.kind, raw) / (len(attr.classes) - 1)
+        elif world.config.continuous_profile == PROFILE_SIGMOID:
+            means[:, i] = 1.0 / (1.0 + np.exp(-raw[:, 0]))
+        else:
+            means[:, i] = (np.clip(raw[:, 0], attr.lo, attr.hi) - attr.lo) / (attr.hi - attr.lo)
+    pixels = np.empty((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
+    pixels[:, :, :-1, :] = means[:, None, :, None]
+    for n, z in enumerate(Z):
+        digest = hashlib.shake_256(z.tobytes()).digest(BLOCK_SIZE * BLOCK_SIZE)
+        pixels[n, :, -1, :] = np.frombuffer(digest, np.uint8).reshape(BLOCK_SIZE, -1) / 255.0
+    return pixels.reshape(len(Z), BLOCK_SIZE, -1)
 
 
-def _attribute_block_mean(world: SyntheticWorld, attr: AttributeSchema, z: np.ndarray) -> float:
-    if attr.kind == BINARY:
-        # the models' tie rule: a score of exactly 0 is the positive class
-        return 1.0 if _raw_score(world, z, world.slot_index(attr.name)) >= 0.0 else 0.0
-    if attr.kind == MULTICLASS:
-        scores = [_raw_score(world, z, world.slot_index(attr.name, c)) for c in attr.classes]
-        return float(np.argmax(scores)) / (len(attr.classes) - 1)
-    raw = _raw_score(world, z, world.slot_index(attr.name))
-    if world.config.continuous_profile == PROFILE_SIGMOID:
-        return float(1.0 / (1.0 + np.exp(-raw)))
-    value = min(max(raw, attr.lo), attr.hi)
-    return (value - attr.lo) / (attr.hi - attr.lo)
+def read_batch(world: SyntheticWorld, pixels, noise_seeds,
+               label_noise: float | None = None) -> dict[str, np.ndarray]:
+    """Per attribute, the class index or the value each of n pixel strips shows.
 
-
-def _texture_block(z: np.ndarray) -> np.ndarray:
-    digest = hashlib.shake_256(z.tobytes()).digest(BLOCK_SIZE * BLOCK_SIZE)
-    vals = np.frombuffer(digest, dtype=np.uint8).astype(np.float64) / 255.0
-    return vals.reshape(BLOCK_SIZE, BLOCK_SIZE)
+    With probability p each discrete label of image i, drawn in attribute
+    order from default_rng(noise_seeds[i]), is flipped or resampled among the
+    other classes. label_noise overrides the world's p (0.0 reads noiselessly).
+    """
+    attrs = world.config.attributes
+    pixels = np.asarray(pixels, dtype=np.float64)
+    if pixels.shape[1:] != (BLOCK_SIZE, BLOCK_SIZE * (len(attrs) + 1)):
+        raise LayoutError(f"images of shape {pixels.shape[1:]} do not hold {len(attrs) + 1} blocks")
+    # each block's pixels copied together, so its mean rounds the same in any batch
+    blocks = pixels.reshape(len(pixels), BLOCK_SIZE, -1, BLOCK_SIZE).transpose(0, 2, 1, 3)
+    means = blocks.reshape(len(pixels), len(attrs) + 1, -1).mean(axis=2)[:, :-1]
+    # every block is read both ways, and each attribute keeps the reading of its kind
+    lo, hi, k = np.array([(a.lo, a.hi, len(a.classes) - 1) for a in attrs]).T
+    index = np.clip(np.rint(means * k), 0, k).astype(np.intp)
+    values = lo + means * (hi - lo)
+    labels = {a.name: index[:, i] if a.is_discrete else values[:, i] for i, a in enumerate(attrs)}
+    p = world.config.label_noise if label_noise is None else float(label_noise)
+    for row, seed in enumerate(noise_seeds if p > 0.0 else ()):
+        rng = np.random.default_rng(seed)
+        for attr in attrs:
+            if attr.is_discrete and rng.random() < p:
+                other = int(rng.integers(len(attr.classes) - 1)) if attr.kind == MULTICLASS else 0
+                labels[attr.name][row] = other + (other >= labels[attr.name][row])
+    return labels
 
 
 def generate_image(world: SyntheticWorld, z) -> SyntheticImage:
-    """Render z: one constant block per attribute plus a hash-derived texture block."""
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    if z.shape != (world.latent_dim,):
-        raise DimensionMismatchError(world.latent_dim, z.size, what="latent vector")
-    attrs = world.config.attributes
-    pixels = np.empty((BLOCK_SIZE, BLOCK_SIZE * (len(attrs) + 1)))
-    for i, attr in enumerate(attrs):
-        pixels[:, i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE] = _attribute_block_mean(world, attr, z)
-    pixels[:, len(attrs) * BLOCK_SIZE:] = _texture_block(z)
-    return SyntheticImage(pixels)
+    """Render one latent: `render_batch` on a batch of one."""
+    return SyntheticImage(render_batch(world, np.asarray(z, dtype=np.float64)[None])[0])
 
 
 def oracle_label(world: SyntheticWorld, image: SyntheticImage, noise_seed: int,
                  label_noise: float | None = None) -> AttributeLabels:
-    """Read block means back into labels, optionally corrupting discrete ones.
-
-    With corruption probability p, each binary label is flipped and each
-    multiclass label resampled uniformly among the other classes,
-    independently per attribute, driven by noise_seed. Continuous values are
-    returned as read. label_noise overrides the world's configured noise
-    (pass 0.0 to judge noiselessly against a noisy world).
-    """
+    """Read one image: `read_batch` on a batch of one."""
+    labels = read_batch(world, image.pixels[None], [noise_seed], label_noise)
     attrs = world.config.attributes
-    if image.block_count != len(attrs) + 1:
-        raise LayoutError(
-            f"image has {image.block_count} blocks but the world renders {len(attrs) + 1}"
-        )
-    p = world.config.label_noise if label_noise is None else float(label_noise)
-    rng = np.random.default_rng(noise_seed) if p > 0.0 else None
-
-    discrete: dict[str, str] = {}
-    continuous: dict[str, float] = {}
-    for i, attr in enumerate(attrs):
-        mean = image.block_mean(i)
-        if attr.kind == BINARY:
-            label = attr.classes[1] if mean > 0.5 else attr.classes[0]
-            if rng is not None and rng.random() < p:
-                label = attr.classes[0] if label == attr.classes[1] else attr.classes[1]
-            discrete[attr.name] = label
-        elif attr.kind == MULTICLASS:
-            k = len(attr.classes)
-            idx = int(np.clip(round(mean * (k - 1)), 0, k - 1))
-            if rng is not None and rng.random() < p:
-                others = [j for j in range(k) if j != idx]
-                idx = others[int(rng.integers(len(others)))]
-            discrete[attr.name] = attr.classes[idx]
-        else:
-            continuous[attr.name] = attr.lo + mean * (attr.hi - attr.lo)
-    return AttributeLabels(discrete, continuous)
+    return AttributeLabels({a.name: a.classes[labels[a.name][0]] for a in attrs if a.is_discrete},
+                           {a.name: float(labels[a.name][0]) for a in attrs if not a.is_discrete})

@@ -424,6 +424,29 @@ def test_cli_wrong_typed_or_non_finite_field_exits_2(tmp_path, which, path, key,
     assert err.startswith("error:") and f"{which}.json" in err and repr(key) in err
 
 
+def _repeat_first_attribute(payloads):
+    schema = payloads["bundle"]["schema"]
+    schema.append(dict(schema[0]))
+
+
+# mutations of value that loaded and ran at exit 0, each with a word of its error line
+BAD_VALUES = {
+    "bundle.latent_dim": (lambda payloads: payloads["bundle"].update(latent_dim=5), "'latent_dim'"),
+    "bundle.schema.repeated": (_repeat_first_attribute, "repeats an attribute"),
+}
+
+
+@pytest.mark.parametrize("mode", ["cosine", "latent", "end2end"])
+@pytest.mark.parametrize("name", list(BAD_VALUES))
+def test_cli_bad_field_value_exits_2(tmp_path, name, mode):
+    mutate, message = BAD_VALUES[name]
+    payloads = trained_payloads()
+    mutate(payloads)
+    code, err = _write_and_eval(tmp_path, payloads, mode)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 _JSON_KINDS = ((type(None), "null"), (bool, "bool"), ((int, float), "number"), (str, "string"),
                (list, "array"), (dict, "object"))
 _REPLACEMENTS = [None, True, 3, 0.5, "x", [], [1.0], {}, {"x": 1}]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentsteer import (
     AttributeSchema,
@@ -12,8 +14,11 @@ from latentsteer import (
     build_world,
     generate_image,
     oracle_label,
+    read_batch,
+    render_batch,
     sample_latents,
 )
+from latentsteer.pipeline import ROW_BLOCK
 from latentsteer.world import BLOCK_SIZE, direction_slots
 
 
@@ -171,8 +176,11 @@ def test_multiclass_block_encodes_argmax():
         attributes=(AttributeSchema.multiclass("hair", ("black", "brown", "blond")),),
     )
     world = build_world(cfg)
-    for cls, expected_mean in zip(("black", "brown", "blond"), (0.0, 0.5, 1.0)):
-        z = 4.0 * world.direction_for("hair", cls)
+    cases = [(4.0 * world.direction_for("hair", cls), cls, mean)
+             for cls, mean in zip(("black", "brown", "blond"), (0.0, 0.5, 1.0))]
+    # z = 0 ties all three scores at 0: the tie goes to the lowest class
+    cases.append((np.zeros(16), "black", 0.0))
+    for z, cls, expected_mean in cases:
         img = generate_image(world, z)
         assert img.block_mean(0) == pytest.approx(expected_mean, abs=1e-12)
         labels = oracle_label(world, img, 0)
@@ -233,3 +241,86 @@ def test_world_config_validation():
                 AttributeSchema.binary("dup", "c", "d"),
             )
         )
+
+
+@st.composite
+def labelling_cases(draw):
+    """A random world of every attribute kind, latents (some of them 0) and noise seeds."""
+    kinds = draw(st.lists(st.sampled_from(["binary", "multiclass", "continuous"]),
+                          min_size=1, max_size=4))
+    attrs = []
+    for i, kind in enumerate(kinds):
+        if kind == "binary":
+            attrs.append(AttributeSchema.binary(f"a{i}", "n", "p"))
+        elif kind == "multiclass":
+            k = draw(st.integers(3, 4))
+            attrs.append(AttributeSchema.multiclass(f"a{i}", [f"c{j}" for j in range(k)]))
+        else:
+            lo = draw(st.floats(-3.0, 2.0))
+            attrs.append(AttributeSchema.continuous(f"a{i}", lo, lo + draw(st.floats(0.5, 4.0))))
+    dim = max(2, len(direction_slots(tuple(attrs)))) + draw(st.integers(0, 3))
+    world = build_world(WorldConfig(
+        dim=dim, attributes=tuple(attrs), seed=draw(st.integers(0, 1000)),
+        label_noise=draw(st.sampled_from([0.0, 0.3])),
+        continuous_profile=draw(st.sampled_from(["linear", "sigmoid"]))))
+    # sizes below, at and across the labelling block
+    n = draw(st.sampled_from([1, 2, 5, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = rng.standard_normal((n, dim)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    Z[rng.random(n) < 0.1] = 0.0  # every binary score and multiclass block ties at 0
+    return world, Z, rng.integers(2**62, size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(labelling_cases())
+def test_batched_render_and_read_equal_single_image_path(case):
+    world, Z, seeds = case
+    pixels = render_batch(world, Z)
+    labels = read_batch(world, pixels, seeds)
+    for i, z in enumerate(Z):
+        img = generate_image(world, z)
+        assert pixels[i].tobytes() == img.pixels.tobytes()
+        one = oracle_label(world, img, int(seeds[i]))
+        for attr in world.config.attributes:
+            if attr.is_discrete:
+                assert attr.classes[labels[attr.name][i]] == one.discrete[attr.name]
+            else:
+                assert labels[attr.name][i].tobytes() == np.float64(one.continuous[attr.name]).tobytes()
+
+
+def _reference_labels(world, image, noise_seed):
+    """The oracle read one block and one attribute at a time, as scalars."""
+    p = world.config.label_noise
+    rng = np.random.default_rng(noise_seed) if p > 0.0 else None
+    labels = {}
+    for i, attr in enumerate(world.config.attributes):
+        mean = image.block_mean(i)
+        if attr.kind == "continuous":
+            labels[attr.name] = attr.lo + mean * (attr.hi - attr.lo)
+            continue
+        if attr.kind == "binary":
+            idx = 1 if mean > 0.5 else 0
+            if rng is not None and rng.random() < p:
+                idx = 1 - idx
+        else:
+            k = len(attr.classes)
+            idx = int(np.clip(round(mean * (k - 1)), 0, k - 1))
+            if rng is not None and rng.random() < p:
+                others = [j for j in range(k) if j != idx]
+                idx = others[int(rng.integers(len(others)))]
+        labels[attr.name] = attr.classes[idx]
+    return labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(labelling_cases())
+def test_batched_read_matches_scalar_reference_noise_included(case):
+    world, Z, seeds = case
+    labels = read_batch(world, render_batch(world, Z), seeds)
+    for i, z in enumerate(Z[:20]):
+        expected = _reference_labels(world, generate_image(world, z), int(seeds[i]))
+        for attr in world.config.attributes:
+            if attr.is_discrete:
+                assert attr.classes[labels[attr.name][i]] == expected[attr.name]
+            else:
+                assert labels[attr.name][i] == pytest.approx(expected[attr.name], rel=1e-15, abs=1e-15)
