@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The training loop: sample latents, label through the image pathway, fit.
 
-One linear model per attribute: a logistic hyperplane per binary
-attribute, one softmax model per multi-valued attribute, a ridge
-regression line per continuous attribute. Because the world's true
-directions are known, we can check how well the fits recover them.
+One linear model per attribute, each a `LatentModel` of affine rows: a
+logistic hyperplane (one row) per binary attribute, one softmax model (one
+row per class) per multi-valued attribute, a ridge regression line (one
+row) per continuous attribute. Because the world's true directions are
+known, we can check how well the fits recover them.
 """
 
 import numpy as np
@@ -44,5 +45,5 @@ for cls in ("black", "brown", "blond"):
     print(f"hair:{cls}: one-vs-rest cosine vs ground truth = {cos:.4f}")
 
 reg = bundle.models["level"]
-print(f"level: slope cosine = {cosine_similarity(reg.line.direction, world.direction_for('level')):.6f}, "
-      f"slope norm = {np.linalg.norm(reg.line.direction):.6f} (true readout has unit slope)")
+print(f"level: slope cosine = {cosine_similarity(reg.hyperplane.direction, world.direction_for('level')):.6f}, "
+      f"slope norm = {np.linalg.norm(reg.hyperplane.direction):.6f} (true readout has unit slope)")

@@ -6,6 +6,11 @@ unit normal far enough to cross the boundary plus a margin; each
 continuous attribute moves along the regression slope far enough to land
 the prediction exactly on the target. Everything is summed into one step.
 
+Every attribute model is one `LatentModel` of affine rows: a binary or
+continuous model has one row (its `hyperplane`: the boundary normal or the
+regression slope), a multiclass model one row per class, whose pairwise
+differences are the boundaries a multiclass move crosses.
+
 The paper_literal modes keep the uncorrected formulas: the negated
 crossing step moves away from the boundary instead of across it, and the
 uncalibrated continuous step misses the target whenever the slope norm
@@ -62,13 +67,13 @@ print(f"literal mode lands at {literal.labels_after.discrete['style']!r} "
       f"(wanted {flip_to!r}): the uncorrected step moves away from the boundary")
 
 # calibration: with a slope of norm 2, the raw continuous step overshoots 2x
-from latentsteer import Hyperplane, LatentRegressor, ModelBundle
+from latentsteer import LatentModel, ModelBundle
 
-slope = np.zeros(4)
-slope[0] = 2.0
+slope = np.zeros((1, 4))
+slope[0, 0] = 2.0
 toy = ModelBundle(
     (AttributeSchema.continuous("v", -100.0, 100.0),),
-    {"v": LatentRegressor(Hyperplane(slope, 0.0))},
+    {"v": LatentModel("continuous", slope, [0.0])},  # one row: the regression line
 )
 z4 = np.array([1.0, 1.0, 0.0, 0.0])
 for calibration in ("calibrated", "paper_literal"):

@@ -41,11 +41,9 @@ from .geometry import (
 )
 from .models import (
     AttributeSchema,
-    BinaryLatentClassifier,
     BundleProvenance,
-    LatentRegressor,
+    LatentModel,
     ModelBundle,
-    MultiClassLatentClassifier,
     TrainingConfig,
     TrainingMeta,
     fit_binary,

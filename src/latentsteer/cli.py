@@ -50,7 +50,6 @@ def _director_config(args) -> DirectorConfig:
         delta_margin=args.delta,
         sign_convention=args.sign_mode,
         continuous_calibration=args.calibration,
-        multiclass_max_redirects=args.max_redirects,
     )
 
 
@@ -58,7 +57,6 @@ def _add_director_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=0.5, help="overshoot past a crossed hyperplane")
     p.add_argument("--sign-mode", choices=["corrected", "paper_literal"], default="corrected")
     p.add_argument("--calibration", choices=["calibrated", "paper_literal"], default="calibrated")
-    p.add_argument("--max-redirects", type=int, default=3)
 
 
 def parse_conditioning(cond: str, schema) -> ConditioningSpec:

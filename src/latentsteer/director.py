@@ -9,7 +9,7 @@ update per row that moves it into the desired attribute subspaces:
     `delta_margin` past it on the desired side;
   * each mismatched multiclass attribute contributes moves across pairwise
     class-difference hyperplanes toward the desired class, redirecting up to
-    a bounded number of times when a third class captures the argmax;
+    MULTICLASS_MAX_REDIRECTS times when a third class captures the argmax;
   * each continuous attribute with a target contributes a move along the
     regression slope sized so the predicted value lands exactly on the
     target (in calibrated mode).
@@ -43,6 +43,7 @@ __all__ = [
     "SIGN_PAPER_LITERAL",
     "CAL_CALIBRATED",
     "CAL_PAPER_LITERAL",
+    "MULTICLASS_MAX_REDIRECTS",
     "ConditioningSpec",
     "ChooseVector",
     "DirectorConfig",
@@ -57,6 +58,8 @@ SIGN_CORRECTED = "corrected"
 SIGN_PAPER_LITERAL = "paper_literal"
 CAL_CALIBRATED = "calibrated"
 CAL_PAPER_LITERAL = "paper_literal"
+
+MULTICLASS_MAX_REDIRECTS = 3  # redirect rounds a multiclass move may take
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,6 @@ class DirectorConfig:
     delta_margin: float = 0.5
     sign_convention: str = SIGN_CORRECTED
     continuous_calibration: str = CAL_CALIBRATED
-    multiclass_max_redirects: int = 3
 
     def __post_init__(self):
         if not (self.delta_margin > 0 and np.isfinite(self.delta_margin)):
@@ -122,8 +124,6 @@ class DirectorConfig:
             raise ValueError(f"unknown sign_convention {self.sign_convention!r}")
         if self.continuous_calibration not in (CAL_CALIBRATED, CAL_PAPER_LITERAL):
             raise ValueError(f"unknown continuous_calibration {self.continuous_calibration!r}")
-        if self.multiclass_max_redirects < 1:
-            raise ValueError("multiclass_max_redirects must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -243,12 +243,12 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
 
     Each round takes every row whose argmax is not yet the desired class
     across the (desired, current) pairwise boundary, delta_margin past it,
-    in either sign_convention; at most multiclass_max_redirects rounds.
+    in either sign_convention; at most MULTICLASS_MAX_REDIRECTS rounds.
     """
     z_work = Z.copy()
     count = np.zeros(len(Z), dtype=np.intp)
     active = np.arange(len(Z))
-    for _ in range(cfg.multiclass_max_redirects):
+    for _ in range(MULTICLASS_MAX_REDIRECTS):
         current = decide(MULTICLASS, np.einsum("nd,kd->nk", z_work[active], weights) + intercepts)
         keep = current != desired[active]
         active, current = active[keep], current[keep]

@@ -1,19 +1,22 @@
 """Linear attribute models over latent vectors.
 
-Binary attributes get a logistic classifier, multi-valued attributes a single
-softmax classifier, continuous attributes a ridge regression line. Both
-classifiers are fitted by one damped Newton (IRLS) routine over the softmax
-objective, a binary attribute being its two-class case; it starts from zero
-and stops once max |grad| <= GRAD_TOL. All training is full batch and
-bit-deterministic for a given config: the only randomness is the train/test
-split permutation.
+Every fitted model is one `LatentModel`: affine rows over latent space, one
+row for a binary or continuous attribute and one per class for a multiclass
+attribute. Binary attributes get a logistic classifier, multi-valued
+attributes a single softmax classifier, continuous attributes a ridge
+regression line. Both classifiers are fitted by one damped Newton (IRLS)
+routine over the softmax objective, a binary attribute being its two-class
+case; it starts from zero and stops once max |grad| <= GRAD_TOL. All
+training is full batch and bit-deterministic for a given config: the only
+randomness is the train/test split permutation. A `ModelBundle` stacks its
+models' rows into one affine map, `ModelBundle.compiled`, for steering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,13 +32,10 @@ __all__ = [
     "AttributeSchema",
     "TrainingConfig",
     "TrainingMeta",
-    "BinaryLatentClassifier",
-    "MultiClassLatentClassifier",
-    "LatentRegressor",
+    "LatentModel",
     "ModelBundle",
     "CompiledBundle",
     "BundleProvenance",
-    "LatentModel",
     "decide",
     "fit_binary",
     "fit_multiclass",
@@ -150,85 +150,73 @@ class TrainingMeta:
 
 
 @dataclass(frozen=True)
-class BinaryLatentClassifier:
-    """sign(direction . z + intercept) mapped to {negative_class, positive_class}.
+class LatentModel:
+    """One attribute's affine rows over latent space: scores = weights @ z + intercepts.
 
-    A score of exactly zero classifies as the positive class.
+    A binary model has one row, whose score >= 0 is classes[1] (classes is
+    (negative, positive)); a multiclass model has one row per class, in the
+    order of classes, read by argmax; a continuous model has one row whose
+    score is the predicted value, and no classes. `decide` is the tie rule.
     """
 
-    hyperplane: Hyperplane
-    positive_class: str
-    negative_class: str
-    training_meta: TrainingMeta = TrainingMeta()
-
-    @property
-    def dim(self) -> int:
-        return self.hyperplane.dim
-
-    def predict(self, z) -> str:
-        side = decide(BINARY, np.array([[self.hyperplane.score(z)]]))[0]
-        return (self.negative_class, self.positive_class)[side]
-
-
-@dataclass(frozen=True)
-class MultiClassLatentClassifier:
-    """argmax over per-class affine scores; ties break to the lowest class index."""
-
-    class_weights: np.ndarray
-    class_intercepts: np.ndarray
-    class_names: tuple[str, ...]
+    kind: str
+    weights: np.ndarray     # (k, dim)
+    intercepts: np.ndarray  # (k,)
+    classes: tuple[str, ...] = ()
     training_meta: TrainingMeta = TrainingMeta()
 
     def __post_init__(self):
-        w = np.array(self.class_weights, dtype=np.float64, copy=True)
-        b = np.array(self.class_intercepts, dtype=np.float64, copy=True)
-        names = tuple(self.class_names)
-        if w.ndim != 2 or w.shape[0] != len(names) or b.shape != (len(names),):
-            raise ValueError("class_weights must be (k, dim) with k intercepts and k names")
+        w = np.array(self.weights, dtype=np.float64, copy=True)
+        b = np.array(self.intercepts, dtype=np.float64, copy=True)
+        classes = tuple(self.classes)
+        n = len(classes)
+        counts_fit = {BINARY: n == 2, MULTICLASS: n >= 2, CONTINUOUS: n == 0}
+        if self.kind not in counts_fit:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if not counts_fit[self.kind] or len(set(classes)) != n:
+            raise ValueError(f"classes {classes} do not fit a {self.kind} model (binary: 2, "
+                             "multiclass: 2 or more, continuous: none; all distinct)")
+        rows = n if self.kind == MULTICLASS else 1
+        if w.ndim != 2 or w.shape[0] != rows or b.shape != (rows,):
+            raise ValueError(f"a {self.kind} model needs ({rows}, dim) weights and {rows} intercepts")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError("model weights or intercepts contain NaN or Inf entries")
         w.flags.writeable = False
         b.flags.writeable = False
-        object.__setattr__(self, "class_weights", w)
-        object.__setattr__(self, "class_intercepts", b)
-        object.__setattr__(self, "class_names", names)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "intercepts", b)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def dim(self) -> int:
-        return self.class_weights.shape[1]
+        return self.weights.shape[1]
 
-    def scores(self, z) -> np.ndarray:
+    @property
+    def hyperplane(self) -> Hyperplane:
+        """The boundary (binary) or regression line (continuous) of a one-row model."""
+        if self.kind == MULTICLASS:
+            raise ValueError("a multiclass model has one row per class, not one hyperplane")
+        return Hyperplane(self.weights[0], self.intercepts[0])
+
+    line = hyperplane  # the name bench/workloads.py reads for a continuous model
+
+    def predict(self, z):
+        """The class of z for a discrete model, its value for a continuous one."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.dim,):
             raise DimensionMismatchError(self.dim, z.size, what="latent vector")
-        return self.class_weights @ z + self.class_intercepts
-
-    def predict(self, z) -> str:
-        return self.class_names[decide(MULTICLASS, self.scores(z)[None, :])[0]]
+        scores = self.weights @ z + self.intercepts
+        if self.kind == CONTINUOUS:
+            return float(scores[0])
+        return self.classes[decide(self.kind, scores[None, :])[0]]
 
     def one_vs_rest_direction(self, class_name: str) -> np.ndarray:
-        """Weights of one class contrasted against the mean of the others."""
-        j = self.class_names.index(class_name)
-        others = [i for i in range(len(self.class_names)) if i != j]
-        d = self.class_weights[j] - self.class_weights[others].mean(axis=0)
+        """Weights of one class of a multiclass model contrasted against the mean of the others."""
+        j = self.classes.index(class_name)
+        others = [i for i in range(len(self.classes)) if i != j]
+        d = self.weights[j] - self.weights[others].mean(axis=0)
         d.flags.writeable = False
         return d
-
-
-@dataclass(frozen=True)
-class LatentRegressor:
-    """Regression line: predict(z) = direction . z + intercept."""
-
-    line: Hyperplane
-    training_meta: TrainingMeta = TrainingMeta()
-
-    @property
-    def dim(self) -> int:
-        return self.line.dim
-
-    def predict(self, z) -> float:
-        return self.line.score(z)
-
-
-LatentModel = Union[BinaryLatentClassifier, MultiClassLatentClassifier, LatentRegressor]
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +345,7 @@ def _fit_classes(latents, labels: list[str], names: tuple[str, ...], cfg: Traini
 
 
 def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
-               positive_class: str | None = None) -> BinaryLatentClassifier:
+               positive_class: str | None = None) -> LatentModel:
     """Fit a binary logistic classifier over (n, dim) latents and n labels of two classes.
 
     positive_class maps to the positive score side (default: the larger of
@@ -377,13 +365,14 @@ def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingCon
     negative = present[0] if present[1] == positive else present[1]
     W, b, Xte, yte, meta = _fit_classes(latents, labels, (negative, positive), cfg,
                                         2.0 * cfg.l2_penalty)
-    h = Hyperplane(W[1] - W[0], float(b[1] - b[0]))
-    accuracy = float(np.mean(decide(BINARY, (Xte @ h.direction + h.intercept)[:, None]) == yte))
-    return BinaryLatentClassifier(h, positive, negative, replace(meta, test_accuracy=accuracy))
+    w, c = W[1] - W[0], float(b[1] - b[0])
+    accuracy = float(np.mean(decide(BINARY, (Xte @ w + c)[:, None]) == yte))
+    return LatentModel(BINARY, w[None, :], [c], (negative, positive),
+                       replace(meta, test_accuracy=accuracy))
 
 
 def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
-                   class_names: Sequence[str] | None = None) -> MultiClassLatentClassifier:
+                   class_names: Sequence[str] | None = None) -> LatentModel:
     """Fit one softmax classifier over k classes by damped Newton steps.
 
     class_names fixes the class order (default: sorted unique labels); every
@@ -395,10 +384,10 @@ def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = Trainin
         raise UnlearnableAttributeError(f"need at least 2 classes, got {list(names)}")
     W, b, Xte, yte, meta = _fit_classes(latents, labels, names, cfg, cfg.l2_penalty)
     accuracy = float(np.mean(decide(MULTICLASS, Xte @ W.T + b) == yte))
-    return MultiClassLatentClassifier(W, b, names, replace(meta, test_accuracy=accuracy))
+    return LatentModel(MULTICLASS, W, b, names, replace(meta, test_accuracy=accuracy))
 
 
-def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> LatentRegressor:
+def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> LatentModel:
     """Fit a regression line by ridge-regularized normal equations.
 
     The ridge term is a fixed 1e-6 on the Gram matrix, just enough to keep it
@@ -419,8 +408,7 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
 
     resid = X[te] @ slope + intercept - y[te]
     rmse = float(np.sqrt(np.mean(resid**2)))
-    meta = TrainingMeta(test_rmse=rmse)
-    return LatentRegressor(Hyperplane(slope, intercept), meta)
+    return LatentModel(CONTINUOUS, slope[None, :], [intercept], (), TrainingMeta(test_rmse=rmse))
 
 
 # --------------------------------------------------------------------------
@@ -451,31 +439,26 @@ class ModelBundle:
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "models", dict(self.models))
-        if len({a.name for a in self.schema}) != len(self.schema):
-            raise BundleIncompleteError(f"schema repeats an attribute: {[a.name for a in self.schema]}")
-        dims = set()
+        names = [a.name for a in self.schema]
+        if len(set(names)) != len(names):
+            raise BundleIncompleteError(f"schema repeats an attribute: {names}")
+        missing = [name for name in names if name not in self.models]
+        if missing:
+            raise BundleIncompleteError(f"no model for attribute {missing[0]!r}")
+        extra = sorted(set(self.models) - set(names))
+        if extra:
+            raise BundleIncompleteError(f"models for attributes the schema does not name: {extra}")
         for attr in self.schema:
-            model = self.models.get(attr.name)
-            if model is None:
-                raise BundleIncompleteError(f"no model for attribute {attr.name!r}")
-            if attr.kind == BINARY and not isinstance(model, BinaryLatentClassifier):
-                raise BundleIncompleteError(f"attribute {attr.name!r} needs a binary classifier")
-            if attr.kind == MULTICLASS and not isinstance(model, MultiClassLatentClassifier):
-                raise BundleIncompleteError(f"attribute {attr.name!r} needs a multiclass classifier")
-            if attr.kind == CONTINUOUS and not isinstance(model, LatentRegressor):
-                raise BundleIncompleteError(f"attribute {attr.name!r} needs a regressor")
-            if attr.kind == BINARY:
-                if {model.positive_class, model.negative_class} != set(attr.classes):
-                    raise BundleIncompleteError(
-                        f"attribute {attr.name!r}: classifier classes do not match the schema"
-                    )
-            if attr.kind == MULTICLASS and set(model.class_names) != set(attr.classes):
+            model = self.models[attr.name]
+            if model.kind != attr.kind:
                 raise BundleIncompleteError(
-                    f"attribute {attr.name!r}: classifier classes do not match the schema"
-                )
-            dims.add(model.dim)
+                    f"attribute {attr.name!r} is {attr.kind}, but its model is {model.kind}")
+            if set(model.classes) != set(attr.classes):
+                raise BundleIncompleteError(
+                    f"attribute {attr.name!r}: classifier classes do not match the schema")
+        dims = sorted({model.dim for model in self.models.values()})
         if len(dims) > 1:
-            raise BundleIncompleteError(f"models disagree on latent dim: {sorted(dims)}")
+            raise BundleIncompleteError(f"models disagree on latent dim: {dims}")
 
     @property
     def latent_dim(self) -> int:
@@ -489,38 +472,21 @@ class ModelBundle:
         except KeyError:
             raise BundleIncompleteError(f"no model for attribute {name!r}") from None
 
-    def attribute(self, name: str) -> AttributeSchema:
-        for attr in self.schema:
-            if attr.name == name:
-                return attr
-        raise BundleIncompleteError(f"no attribute named {name!r} in the schema")
-
     @cached_property
     def compiled(self) -> "CompiledBundle":
         """Every model of the bundle as rows of one affine map, built once per bundle."""
-        weights: list[np.ndarray] = []
-        intercepts: list[float] = []
-        blocks = []
-        for attr in self.schema:
-            model = self.models[attr.name]
-            if attr.kind == MULTICLASS:
-                rows, b, classes = model.class_weights, model.class_intercepts, model.class_names
-            else:
-                plane = model.hyperplane if attr.kind == BINARY else model.line
-                rows, b = [plane.direction], [plane.intercept]
-                classes = (model.negative_class, model.positive_class) if attr.kind == BINARY else ()
-            blocks.append((attr.name, attr.kind, slice(len(weights), len(weights) + len(rows)),
-                           classes))
-            weights.extend(rows)
-            intercepts.extend(b)
-        dim = self.latent_dim if self.schema else None
-        w = np.array(weights, dtype=np.float64).reshape(len(weights), dim or 0)
+        models = [self.models[attr.name] for attr in self.schema]
+        blocks, start = [], 0
+        for attr, m in zip(self.schema, models):
+            blocks.append((attr.name, attr.kind, slice(start, start + len(m.weights)), m.classes))
+            start += len(m.weights)
+        w = np.concatenate([m.weights for m in models] or [np.zeros((0, 0))])
         norms = np.sqrt((w * w).sum(axis=1))
         units = w / np.where(norms > 0.0, norms, 1.0)[:, None]
-        arrays = (w, np.array(intercepts, dtype=np.float64), norms, units)
+        arrays = (w, np.concatenate([m.intercepts for m in models] or [np.zeros(0)]), norms, units)
         for a in arrays:
             a.flags.writeable = False
-        return CompiledBundle(dim, *arrays, tuple(blocks))
+        return CompiledBundle(self.latent_dim if models else None, *arrays, tuple(blocks))
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .geometry import Hyperplane
 from .models import (
     BINARY,
     CONTINUOUS,
     MULTICLASS,
     AttributeSchema,
-    BinaryLatentClassifier,
     BundleProvenance,
-    LatentRegressor,
+    LatentModel,
     ModelBundle,
-    MultiClassLatentClassifier,
     TrainingConfig,
     TrainingMeta,
 )
@@ -173,46 +170,39 @@ def _payload_to_meta(payload: dict, where: str) -> TrainingMeta:
     return TrainingMeta(epochs_run=_field(payload, "epochs_run", where, int, 0), **num)
 
 
-def _model_to_payload(model) -> dict:
-    if isinstance(model, MultiClassLatentClassifier):
-        payload = {
-            "kind": MULTICLASS,
-            "class_weights": model.class_weights.tolist(),
-            "class_intercepts": model.class_intercepts.tolist(),
-            "class_names": list(model.class_names),
-        }
-    elif isinstance(model, (BinaryLatentClassifier, LatentRegressor)):
-        binary = isinstance(model, BinaryLatentClassifier)
-        plane = model.hyperplane if binary else model.line
-        payload = {"kind": BINARY if binary else "regressor",
-                   "direction": plane.direction.tolist(), "intercept": plane.intercept}
-        if binary:
-            payload.update(negative_class=model.negative_class, positive_class=model.positive_class)
+def _model_to_payload(model: LatentModel) -> dict:
+    """The v1 keys: a multiclass model's rows and class names; else one row, as a direction."""
+    if model.kind == MULTICLASS:
+        payload = {"kind": MULTICLASS, "class_weights": model.weights.tolist(),
+                   "class_intercepts": model.intercepts.tolist(), "class_names": list(model.classes)}
     else:
-        raise FormatError(f"cannot serialize model type {type(model).__name__}")
+        payload = {"kind": BINARY if model.kind == BINARY else "regressor",
+                   "direction": model.weights[0].tolist(), "intercept": float(model.intercepts[0])}
+        if model.kind == BINARY:
+            payload.update(negative_class=model.classes[0], positive_class=model.classes[1])
     payload["training_meta"] = _meta_to_payload(model.training_meta)
     return payload
 
 
-def _payload_to_model(payload: dict, where: str):
+def _payload_to_model(payload: dict, where: str) -> LatentModel:
     kind = _field(payload, "kind", where, str)
     meta = _payload_to_meta(_field(payload, "training_meta", where, dict, {}),
                             f"{where}.training_meta")
-    if kind in (BINARY, "regressor"):
-        h = Hyperplane(_array(payload, "direction", where, (None,)),
-                       _field(payload, "intercept", where, float))
-        if kind == "regressor":
-            return LatentRegressor(h, meta)
-        return BinaryLatentClassifier(h, _field(payload, "positive_class", where, str),
-                                      _field(payload, "negative_class", where, str), meta)
     if kind == MULTICLASS:
-        return MultiClassLatentClassifier(
-            _array(payload, "class_weights", where, (None, None)),
-            _array(payload, "class_intercepts", where, (None,)),
-            _strings(payload, "class_names", where),
-            meta,
-        )
-    raise FormatError(f"{where}: unknown model kind {kind!r}")
+        rows = (_array(payload, "class_weights", where, (None, None)),
+                _array(payload, "class_intercepts", where, (None,)),
+                _strings(payload, "class_names", where))
+    elif kind in (BINARY, "regressor"):
+        classes = ((_field(payload, "negative_class", where, str),
+                    _field(payload, "positive_class", where, str)) if kind == BINARY else ())
+        rows = ([_array(payload, "direction", where, (None,))],
+                [_field(payload, "intercept", where, float)], classes)
+    else:
+        raise FormatError(f"{where}: unknown model kind {kind!r}")
+    try:
+        return LatentModel(kind if kind != "regressor" else CONTINUOUS, *rows, meta)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 # the fields a bundle records of its TrainingConfig; older files also carry

@@ -22,16 +22,14 @@ import numpy as np
 
 from .director import ConditioningSpec, DirectorConfig, condition_batch, latent_labels
 from .errors import UnlearnableAttributeError, WorldConfigError
-from .geometry import Hyperplane, pairwise_cosines, sample_latents
+from .geometry import pairwise_cosines, sample_latents
 from .models import (
     BINARY,
     MULTICLASS,
     AttributeSchema,
-    BinaryLatentClassifier,
     BundleProvenance,
-    LatentRegressor,
+    LatentModel,
     ModelBundle,
-    MultiClassLatentClassifier,
     TrainingConfig,
     fit_binary,
     fit_multiclass,
@@ -76,14 +74,10 @@ def ground_truth_bundle(world: SyntheticWorld) -> ModelBundle:
     """
     models = {}
     for attr in world.config.attributes:
-        if attr.kind == MULTICLASS:
-            weights = np.stack([world.direction_for(attr.name, c) for c in attr.classes])
-            intercepts = np.array([world.intercept_for(attr.name, c) for c in attr.classes])
-            models[attr.name] = MultiClassLatentClassifier(weights, intercepts, attr.classes)
-        else:
-            h = Hyperplane(world.direction_for(attr.name), world.intercept_for(attr.name))
-            models[attr.name] = (BinaryLatentClassifier(h, attr.classes[1], attr.classes[0])
-                                 if attr.kind == BINARY else LatentRegressor(h))
+        # an attribute's slots are its model's rows: one, or one per class in class order
+        rows = [i for i, (name, _) in enumerate(world.slots) if name == attr.name]
+        models[attr.name] = LatentModel(attr.kind, world.directions[rows], world.intercepts[rows],
+                                        attr.classes)
     return ModelBundle(tuple(world.config.attributes), models)
 
 
@@ -312,16 +306,13 @@ def cosine_report(bundle: ModelBundle) -> CosineReport:
     vectors: list[np.ndarray] = []
     for attr in bundle.schema:
         model = bundle.model_for(attr.name)
-        if attr.kind == BINARY:
-            names.append(attr.name)
-            vectors.append(model.hyperplane.direction)
-        elif attr.kind == MULTICLASS:
+        if attr.kind == MULTICLASS:
             for cls in attr.classes:
                 names.append(f"{attr.name}:{cls}")
                 vectors.append(model.one_vs_rest_direction(cls))
         else:
             names.append(attr.name)
-            vectors.append(model.line.direction)
+            vectors.append(model.weights[0])
     return CosineReport(tuple(names), pairwise_cosines(np.stack(vectors)))
 
 

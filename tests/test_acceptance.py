@@ -10,12 +10,11 @@ import numpy as np
 
 from latentsteer import (
     AttributeSchema,
-    BinaryLatentClassifier,
     ConditioningSpec,
     DirectorConfig,
     EvalConfig,
     Hyperplane,
-    LatentRegressor,
+    LatentModel,
     ModelBundle,
     SweepConfig,
     TrainingConfig,
@@ -41,7 +40,7 @@ def _report(number: int, detail: str) -> None:
 
 
 def single_binary_bundle(direction, intercept) -> ModelBundle:
-    model = BinaryLatentClassifier(Hyperplane(direction, intercept), "pos", "neg")
+    model = LatentModel("binary", [direction], [intercept], ("neg", "pos"))
     return ModelBundle((AttributeSchema.binary("flag", "neg", "pos"),), {"flag": model})
 
 
@@ -149,7 +148,7 @@ def test_criterion_04_continuous_calibration():
     # literal mode against a slope of norm 2: error magnitude |delta| * (|d| - 1)
     slope = np.zeros(64)
     slope[:2] = [1.2, 1.6]  # norm 2
-    reg = LatentRegressor(Hyperplane(slope, 0.3))
+    reg = LatentModel("continuous", [slope], [0.3])
     lit_bundle = ModelBundle((AttributeSchema.continuous("level", -100.0, 100.0),), {"level": reg})
     lit = DirectorConfig(continuous_calibration="paper_literal")
     for _ in range(2000):
@@ -225,7 +224,7 @@ def test_criterion_06_hyperplane_recovery():
         true_ovr = truths[c] - np.mean([truths[o] for o in truths if o != c], axis=0)
         cos_m.append(cosine_similarity(mc.one_vs_rest_direction(c), true_ovr))
     assert min(cos_m) >= 0.98
-    cos_v = cosine_similarity(bundle.models["v"].line.direction, world.direction_for("v"))
+    cos_v = cosine_similarity(bundle.models["v"].hyperplane.direction, world.direction_for("v"))
     assert cos_v >= 0.98
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -313,7 +312,7 @@ def test_criterion_09_multiclass_conditioning():
     attrs = (AttributeSchema.multiclass("hair", ("black", "brown", "blond")),)
     world = build_world(WorldConfig(dim=64, attributes=attrs, seed=9))
     bundle = run_training(world, 10000, TrainingConfig(epochs=800, seed=5))
-    cfg = DirectorConfig(multiclass_max_redirects=3)
+    cfg = DirectorConfig()  # at most MULTICLASS_MAX_REDIRECTS = 3 redirects
     rng = np.random.default_rng(1009)
     hits = 0
     max_moves = 0

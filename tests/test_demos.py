@@ -1,8 +1,10 @@
-"""Every demo runs to completion, and every name it imports from latentsteer exists."""
+"""Every demo and the README's library quickstart run to completion, and every name a demo
+imports from latentsteer exists."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,10 +28,23 @@ def test_demo_imports_exist(demo):
     assert imported, f"{demo.name} imports nothing from latentsteer"
 
 
+def _run_python(args, cwd):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     """A demo that calls a removed keyword or option fails here, not only at import."""
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    proc = _run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart_runs(tmp_path):
+    """The first python block under the README's "Library quickstart" heading runs as written."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    assert block, "README has no python block under 'Library quickstart'"
+    proc = _run_python(["-c", block.group(1)], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -8,15 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from latentsteer import (
     AttributeSchema,
-    BinaryLatentClassifier,
     ConditioningError,
     ConditioningSpec,
     DegenerateModelError,
     DirectorConfig,
-    Hyperplane,
-    LatentRegressor,
+    LatentModel,
     ModelBundle,
-    MultiClassLatentClassifier,
     condition,
     condition_batch,
     latent_labels,
@@ -27,13 +24,13 @@ from latentsteer import (
 
 def binary_bundle(direction=(1.0, 0.0), intercept=0.0, name="flag"):
     schema = (AttributeSchema.binary(name, "neg", "pos"),)
-    model = BinaryLatentClassifier(Hyperplane(np.array(direction, dtype=float), intercept), "pos", "neg")
+    model = LatentModel("binary", [direction], [intercept], ("neg", "pos"))
     return ModelBundle(schema, {name: model})
 
 
 def regressor_bundle(direction=(2.0, 0.0), intercept=0.0, name="level", lo=-100.0, hi=100.0):
     schema = (AttributeSchema.continuous(name, lo, hi),)
-    model = LatentRegressor(Hyperplane(np.array(direction, dtype=float), intercept))
+    model = LatentModel("continuous", [direction], [intercept])
     return ModelBundle(schema, {name: model})
 
 
@@ -50,7 +47,7 @@ def test_latent_labels_binary_and_regressor():
     assert latent_labels(bundle, np.array([0.0, 3.0])).discrete == {"flag": "pos"}
     weights = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mc = ModelBundle((AttributeSchema.multiclass("m", ("c0", "c1", "c2")),),
-                     {"m": MultiClassLatentClassifier(weights, np.zeros(3), ("c0", "c1", "c2"))})
+                     {"m": LatentModel("multiclass", weights, np.zeros(3), ("c0", "c1", "c2"))})
     assert latent_labels(mc, np.array([1.0, 0.0])).discrete == {"m": "c0"}
 
 
@@ -64,8 +61,8 @@ def test_choose_vector_cases():
     schema = (AttributeSchema.binary("style", "tee", "dress"),
               AttributeSchema.binary("pose", "back", "front"))
     models = {
-        "style": BinaryLatentClassifier(Hyperplane(np.array([1.0, 0.0]), 0.0), "dress", "tee"),
-        "pose": BinaryLatentClassifier(Hyperplane(np.array([0.0, 1.0]), 0.0), "front", "back"),
+        "style": LatentModel("binary", [[1.0, 0.0]], [0.0], ("tee", "dress")),
+        "pose": LatentModel("binary", [[0.0, 1.0]], [0.0], ("back", "front")),
     }
     bundle = ModelBundle(schema, models)
     z = np.array([-1.0, 1.0])  # style tee, pose front
@@ -121,8 +118,8 @@ def test_condition_mixed_orthogonal_hand_value():
         AttributeSchema.continuous("level", -100.0, 100.0),
     )
     models = {
-        "flag": BinaryLatentClassifier(Hyperplane(np.array([1.0, 0.0, 0.0]), 0.0), "pos", "neg"),
-        "level": LatentRegressor(Hyperplane(np.array([0.0, 1.0, 0.0]), 0.0)),
+        "flag": LatentModel("binary", [[1.0, 0.0, 0.0]], [0.0], ("neg", "pos")),
+        "level": LatentModel("continuous", [[0.0, 1.0, 0.0]], [0.0]),
     }
     bundle = ModelBundle(schema, models)
     z = np.array([-2.0, 0.0, 7.0])
@@ -139,7 +136,7 @@ def test_crossing_guarantee_both_directions():
         direction = rng.standard_normal(dim)
         while np.linalg.norm(direction) < 1e-6:
             direction = rng.standard_normal(dim)
-        model = BinaryLatentClassifier(Hyperplane(direction, float(rng.standard_normal())), "pos", "neg")
+        model = LatentModel("binary", [direction], [rng.standard_normal()], ("neg", "pos"))
         bundle = ModelBundle((AttributeSchema.binary("flag", "neg", "pos"),), {"flag": model})
         z = rng.standard_normal(dim)
         current = model.predict(z)
@@ -163,7 +160,7 @@ def test_paper_literal_never_crosses_from_negative_side():
     cfg = DirectorConfig(delta_margin=0.5, sign_convention="paper_literal")
     for _ in range(300):
         direction = rng.standard_normal(4)
-        model = BinaryLatentClassifier(Hyperplane(direction, float(rng.standard_normal())), "pos", "neg")
+        model = LatentModel("binary", [direction], [rng.standard_normal()], ("neg", "pos"))
         bundle = ModelBundle((AttributeSchema.binary("flag", "neg", "pos"),), {"flag": model})
         z = rng.standard_normal(4)
         if model.predict(z) == "pos":
@@ -177,7 +174,7 @@ def test_idempotence_single_binary():
     cfg = DirectorConfig(delta_margin=0.5)
     for _ in range(100):
         direction = rng.standard_normal(5)
-        model = BinaryLatentClassifier(Hyperplane(direction, 0.1), "pos", "neg")
+        model = LatentModel("binary", [direction], [0.1], ("neg", "pos"))
         bundle = ModelBundle((AttributeSchema.binary("flag", "neg", "pos"),), {"flag": model})
         z = rng.standard_normal(5)
         desired = "neg" if model.predict(z) == "pos" else "pos"
@@ -191,9 +188,9 @@ def test_idempotence_single_binary():
 def test_multiclass_conditioning_crosses_to_desired():
     rng = np.random.default_rng(45)
     weights = np.vstack([np.eye(3), ])  # 3 classes along orthogonal axes
-    model = MultiClassLatentClassifier(weights, np.zeros(3), ("c0", "c1", "c2"))
+    model = LatentModel("multiclass", weights, np.zeros(3), ("c0", "c1", "c2"))
     bundle = ModelBundle((AttributeSchema.multiclass("m", ("c0", "c1", "c2")),), {"m": model})
-    cfg = DirectorConfig(delta_margin=0.5, multiclass_max_redirects=3)
+    cfg = DirectorConfig(delta_margin=0.5)
     for _ in range(200):
         z = rng.standard_normal(3)
         current = model.predict(z)
@@ -205,7 +202,7 @@ def test_multiclass_conditioning_crosses_to_desired():
 
 def test_multiclass_moves_toward_desired_in_any_sign_mode():
     # sign_convention governs binary moves only; multiclass always crosses
-    model = MultiClassLatentClassifier(np.eye(3), np.zeros(3), ("c0", "c1", "c2"))
+    model = LatentModel("multiclass", np.eye(3), np.zeros(3), ("c0", "c1", "c2"))
     bundle = ModelBundle((AttributeSchema.multiclass("m", ("c0", "c1", "c2")),), {"m": model})
     z = np.array([3.0, 0.0, 0.0])
     for sign_mode in ("corrected", "paper_literal"):
@@ -215,7 +212,7 @@ def test_multiclass_moves_toward_desired_in_any_sign_mode():
 
 
 def test_multiclass_already_satisfied_is_noop():
-    model = MultiClassLatentClassifier(np.eye(3), np.zeros(3), ("c0", "c1", "c2"))
+    model = LatentModel("multiclass", np.eye(3), np.zeros(3), ("c0", "c1", "c2"))
     bundle = ModelBundle((AttributeSchema.multiclass("m", ("c0", "c1", "c2")),), {"m": model})
     z = np.array([5.0, 0.0, 0.0])
     report = condition(z, ConditioningSpec({"m": "c0"}), bundle)
@@ -234,9 +231,9 @@ def test_orthogonal_superposition():
         AttributeSchema.continuous("v", -100.0, 100.0),
     )
     models = {
-        "a": BinaryLatentClassifier(Hyperplane(basis[0], 0.2), "p", "n"),
-        "b": BinaryLatentClassifier(Hyperplane(basis[1], -0.3), "p", "n"),
-        "v": LatentRegressor(Hyperplane(1.7 * basis[2], 0.1)),
+        "a": LatentModel("binary", [basis[0]], [0.2], ("n", "p")),
+        "b": LatentModel("binary", [basis[1]], [-0.3], ("n", "p")),
+        "v": LatentModel("continuous", [1.7 * basis[2]], [0.1]),
     }
     bundle = ModelBundle(schema, models)
     cfg = DirectorConfig(delta_margin=0.5)
@@ -269,8 +266,8 @@ def test_scale_invariance_of_discrete_moves():
     b3 = rng.standard_normal(3)
     for lam in (0.1, 1.0, 5.0, 250.0):
         models = {
-            "a": BinaryLatentClassifier(Hyperplane(lam * direction, lam * 0.4), "p", "n"),
-            "m": MultiClassLatentClassifier(lam * W, lam * b3, ("c0", "c1", "c2")),
+            "a": LatentModel("binary", [lam * direction], [lam * 0.4], ("n", "p")),
+            "m": LatentModel("multiclass", lam * W, lam * b3, ("c0", "c1", "c2")),
         }
         bundle = ModelBundle(schema, models)
         z = sample_latents(1, 6, seed=8)[0]
@@ -301,7 +298,7 @@ def test_condition_validates_spec():
 
 def test_condition_rejects_degenerate_regressor():
     schema = (AttributeSchema.continuous("level", -10.0, 10.0),)
-    model = LatentRegressor(Hyperplane(np.zeros(2), 1.0))
+    model = LatentModel("continuous", np.zeros((1, 2)), [1.0])
     bundle = ModelBundle(schema, {"level": model})
     with pytest.raises(DegenerateModelError):
         condition(np.zeros(2), ConditioningSpec(continuous={"level": 3.0}), bundle)
@@ -324,8 +321,6 @@ def test_director_config_validation():
         DirectorConfig(delta_margin=0.0)
     with pytest.raises(ValueError):
         DirectorConfig(sign_convention="sideways")
-    with pytest.raises(ValueError):
-        DirectorConfig(multiclass_max_redirects=0)
 
 
 def test_unspecified_attributes_never_move():
@@ -334,8 +329,8 @@ def test_unspecified_attributes_never_move():
         AttributeSchema.binary("b", "n", "p"),
     )
     models = {
-        "a": BinaryLatentClassifier(Hyperplane(np.array([1.0, 0.0]), 0.0), "p", "n"),
-        "b": BinaryLatentClassifier(Hyperplane(np.array([0.0, 1.0]), 0.0), "p", "n"),
+        "a": LatentModel("binary", [[1.0, 0.0]], [0.0], ("n", "p")),
+        "b": LatentModel("binary", [[0.0, 1.0]], [0.0], ("n", "p")),
     }
     bundle = ModelBundle(schema, models)
     z = np.array([-1.0, -1.0])
@@ -358,19 +353,18 @@ def steering_batches(draw):
         name = f"a{i}"
         if kind == "binary":
             schema.append(AttributeSchema.binary(name, "n", "p"))
-            models[name] = BinaryLatentClassifier(
-                Hyperplane(draw(arrays(np.float64, dim, elements=FLOATS)), draw(FLOATS)), "p", "n")
+            models[name] = LatentModel("binary", draw(arrays(np.float64, (1, dim), elements=FLOATS)),
+                                       [draw(FLOATS)], ("n", "p"))
         elif kind == "multiclass":
             k = draw(st.integers(3, 4))
             classes = tuple(f"c{j}" for j in range(k))
             schema.append(AttributeSchema.multiclass(name, classes))
-            models[name] = MultiClassLatentClassifier(
-                draw(arrays(np.float64, (k, dim), elements=FLOATS)),
-                draw(arrays(np.float64, k, elements=FLOATS)), classes)
+            models[name] = LatentModel("multiclass", draw(arrays(np.float64, (k, dim), elements=FLOATS)),
+                                       draw(arrays(np.float64, k, elements=FLOATS)), classes)
         else:
             schema.append(AttributeSchema.continuous(name, -20.0, 20.0))
-            models[name] = LatentRegressor(
-                Hyperplane(draw(arrays(np.float64, dim, elements=FLOATS)), draw(FLOATS)))
+            models[name] = LatentModel("continuous", draw(arrays(np.float64, (1, dim), elements=FLOATS)),
+                                       [draw(FLOATS)])
     bundle = ModelBundle(tuple(schema), models)
     n = draw(st.integers(1, 6))
     Z = draw(arrays(np.float64, (n, dim), elements=FLOATS))

@@ -7,13 +7,10 @@ import pytest
 
 from latentsteer import (
     AttributeSchema,
-    BinaryLatentClassifier,
     BundleIncompleteError,
     DimensionMismatchError,
-    Hyperplane,
-    LatentRegressor,
+    LatentModel,
     ModelBundle,
-    MultiClassLatentClassifier,
     TrainingConfig,
     UnlearnableAttributeError,
     cosine_similarity,
@@ -75,8 +72,7 @@ def test_fit_binary_recovers_ground_truth_direction():
 def test_fit_binary_positive_class_default_is_sorted():
     X, y, _ = two_clouds(seed=12)
     model = fit_binary(X, y, TrainingConfig(seed=0))
-    assert model.positive_class == "lo"  # sorted(("hi", "lo"))[1]
-    assert model.negative_class == "hi"
+    assert model.classes == ("hi", "lo")  # (negative, positive): sorted(("hi", "lo"))[1] is positive
 
 
 def three_clouds(seed=5, n_per=100, radius=3.0):
@@ -145,16 +141,16 @@ def test_fit_regressor_exact_recovery():
     model = fit_regressor(Z, targets, TrainingConfig(seed=3))
     expected = np.zeros(8)
     expected[0] = 2.0
-    np.testing.assert_allclose(model.line.direction, expected, atol=1e-6)
-    assert model.line.intercept == pytest.approx(1.0, abs=1e-6)
+    np.testing.assert_allclose(model.hyperplane.direction, expected, atol=1e-6)
+    assert model.hyperplane.intercept == pytest.approx(1.0, abs=1e-6)
     assert model.training_meta.test_rmse <= 1e-6
 
 
 def test_fit_regressor_constant_targets():
     Z = sample_latents(300, 6, seed=15)
     model = fit_regressor(Z, np.full(300, 4.25), TrainingConfig(seed=3))
-    assert np.linalg.norm(model.line.direction) <= 1e-6
-    assert model.line.intercept == pytest.approx(4.25, abs=1e-6)
+    assert np.linalg.norm(model.hyperplane.direction) <= 1e-6
+    assert model.hyperplane.intercept == pytest.approx(4.25, abs=1e-6)
 
 
 def test_fit_regressor_beats_mean_predictor_on_sigmoid_targets():
@@ -177,17 +173,15 @@ def test_fit_regressor_too_few_samples():
 
 
 def test_predict_discrete_and_value():
-    binary = BinaryLatentClassifier(Hyperplane(np.array([1.0, 0.0]), 0.0), "pos", "neg")
+    binary = LatentModel("binary", [[1.0, 0.0]], [0.0], ("neg", "pos"))
     assert binary.predict(np.array([2.0, -1.0])) == "pos"
     assert binary.predict(np.array([-2.0, 1.0])) == "neg"
     assert binary.predict(np.array([0.0, 5.0])) == "pos"  # tie goes positive
 
-    mc = MultiClassLatentClassifier(
-        np.eye(3), np.array([0.2, 0.9, 0.1]), ("c0", "c1", "c2")
-    )
+    mc = LatentModel("multiclass", np.eye(3), [0.2, 0.9, 0.1], ("c0", "c1", "c2"))
     assert mc.predict(np.zeros(3)) == "c1"  # argmax over (0.2, 0.9, 0.1)
 
-    reg = LatentRegressor(Hyperplane(np.array([2.0, 0.0]), 0.0))
+    reg = LatentModel("continuous", [[2.0, 0.0]], [0.0])
     assert reg.predict(np.array([1.0, 1.0])) == 2.0
 
     with pytest.raises(DimensionMismatchError):
@@ -197,11 +191,7 @@ def test_predict_discrete_and_value():
 def test_decision_invariance_under_positive_scaling():
     X, y, _ = two_clouds(seed=12)
     model = fit_binary(X, y, TrainingConfig(seed=0), positive_class="hi")
-    scaled = BinaryLatentClassifier(
-        Hyperplane(7.5 * model.hyperplane.direction, 7.5 * model.hyperplane.intercept),
-        model.positive_class,
-        model.negative_class,
-    )
+    scaled = LatentModel("binary", 7.5 * model.weights, 7.5 * model.intercepts, model.classes)
     for z in sample_latents(300, 2, seed=11) * 4.0:
         assert model.predict(z) == scaled.predict(z)
 
@@ -261,9 +251,50 @@ def test_bundle_requires_model_per_attribute():
     schema = (AttributeSchema.binary("a", "n", "p"),)
     with pytest.raises(BundleIncompleteError):
         ModelBundle(schema, {})
-    reg = LatentRegressor(Hyperplane(np.array([1.0, 0.0]), 0.0))
+    reg = LatentModel("continuous", [[1.0, 0.0]], [0.0])
     with pytest.raises(BundleIncompleteError):
         ModelBundle(schema, {"a": reg})  # wrong model kind
+    binary = LatentModel("binary", [[1.0, 0.0]], [0.0], ("n", "p"))
+    ghost = LatentModel("continuous", np.ones((1, 5)), [0.0])
+    with pytest.raises(BundleIncompleteError):
+        ModelBundle(schema, {"ghost": ghost, "a": binary})  # a model the schema does not name
+    with pytest.raises(BundleIncompleteError):
+        ModelBundle(schema, {"a": LatentModel("binary", [[1.0, 0.0]], [0.0], ("n", "q"))})
+
+
+@pytest.mark.parametrize("kind,weights,intercepts,classes", [
+    ("regressor", [[1.0, 0.0]], [0.0], ()),                        # unknown kind
+    ("binary", [[1.0, 0.0]], [0.0], ("p",)),                       # one class
+    ("binary", [[1.0, 0.0]], [0.0], ("p", "p")),                   # duplicate classes
+    ("binary", [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], ("n", "p")),  # two rows
+    ("continuous", [[1.0, 0.0]], [0.0], ("x",)),                   # classes on a regressor
+    ("continuous", [1.0, 0.0], [0.0], ()),                         # 1-D weights
+    ("continuous", [[1.0, 0.0]], [0.0, 1.0], ()),                  # rows disagree
+    ("multiclass", np.eye(3), np.zeros(3), ("a", "b")),            # rows disagree with classes
+    ("multiclass", np.eye(3), np.zeros(3), ("a", "b", "a")),       # duplicate classes
+    ("multiclass", np.eye(1), np.zeros(1), ("a",)),                # one class
+    ("binary", [[np.nan, 0.0]], [0.0], ("n", "p")),                # non-finite weight
+    ("continuous", [[1.0, 0.0]], [np.inf], ()),                    # non-finite intercept
+])
+def test_latent_model_validation(kind, weights, intercepts, classes):
+    with pytest.raises(ValueError):
+        LatentModel(kind, weights, intercepts, classes)
+
+
+def test_latent_model_is_read_only_rows():
+    source = np.eye(3)
+    model = LatentModel("multiclass", source, np.zeros(3), ["a", "b", "c"])
+    source[0, 0] = 5.0
+    assert model.weights[0, 0] == 1.0 and model.classes == ("a", "b", "c") and model.dim == 3
+    with pytest.raises(ValueError):
+        model.weights[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        model.hyperplane  # no single boundary for a multiclass model
+    np.testing.assert_array_equal(model.one_vs_rest_direction("b"), [-0.5, 1.0, -0.5])
+    reg = LatentModel("continuous", [[3.0, 4.0]], [1.0])
+    plane = reg.hyperplane
+    np.testing.assert_array_equal(plane.direction, [3.0, 4.0])
+    assert plane.intercept == 1.0 and reg.predict(np.array([1.0, 1.0])) == 8.0
 
 
 def test_bundle_rejects_mismatched_dims():
@@ -271,8 +302,8 @@ def test_bundle_rejects_mismatched_dims():
         AttributeSchema.binary("a", "n", "p"),
         AttributeSchema.continuous("v", 0.0, 1.0),
     )
-    b = BinaryLatentClassifier(Hyperplane(np.array([1.0, 0.0]), 0.0), "p", "n")
-    r = LatentRegressor(Hyperplane(np.array([1.0, 0.0, 0.0]), 0.0))
+    b = LatentModel("binary", [[1.0, 0.0]], [0.0], ("n", "p"))
+    r = LatentModel("continuous", [[1.0, 0.0, 0.0]], [0.0])
     with pytest.raises(BundleIncompleteError):
         ModelBundle(schema, {"a": b, "v": r})
 
@@ -314,8 +345,8 @@ def test_default_fits_are_stationary_points():
     assert max(np.abs(gw).max(), abs(gb)) <= 1e-6
 
     multi = fit_multiclass(Z, classes, cfg)
-    Y = np.array([[c == name for name in multi.class_names] for c in classes], dtype=float)
-    _, gW, gb = softmax_loss_and_grad(multi.class_weights, multi.class_intercepts, Z[tr], Y[tr],
+    Y = np.array([[c == name for name in multi.classes] for c in classes], dtype=float)
+    _, gW, gb = softmax_loss_and_grad(multi.weights, multi.intercepts, Z[tr], Y[tr],
                                       cfg.l2_penalty)
     assert max(np.abs(gW).max(), np.abs(gb).max()) <= 1e-6
 
@@ -331,7 +362,7 @@ def test_unpenalized_fit_on_separable_data_stays_finite():
     binary = fit_binary(X, y, cfg, positive_class="hi")
     multi = fit_multiclass(X, y, cfg)
     assert np.isfinite(binary.hyperplane.direction).all() and np.isfinite(binary.hyperplane.intercept)
-    assert np.isfinite(multi.class_weights).all() and np.isfinite(multi.class_intercepts).all()
+    assert np.isfinite(multi.weights).all() and np.isfinite(multi.intercepts).all()
     assert binary.training_meta.test_accuracy == 1.0 == multi.training_meta.test_accuracy
     for z in X:
         assert binary.predict(z) == multi.predict(z)

@@ -11,11 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentsteer import (
     AttributeSchema,
+    BundleProvenance,
     FormatError,
+    LatentModel,
+    ModelBundle,
     TrainingConfig,
+    TrainingMeta,
     WorldConfig,
     build_world,
     generate_image,
@@ -29,7 +34,8 @@ from latentsteer import (
     save_world,
 )
 from latentsteer.cli import main, parse_conditioning
-from latentsteer.persist import json_bytes, bundle_to_payload, pgm_text, world_to_payload
+from latentsteer.persist import (json_bytes, bundle_to_payload, payload_to_bundle, pgm_text,
+                                 world_to_payload)
 
 
 def small_world(seed=3):
@@ -371,16 +377,20 @@ def test_cli_world_init_rejects_string_classes(tmp_path, capsys):
     assert "list of strings" in capsys.readouterr().err
 
 
-def _write_and_eval(tmp_dir, payloads, mode="cosine", trials=2):
-    """Write the payloads as bundle.json and world.json, run `eval`, return (exit code, stderr)."""
+def _write_and_run(tmp_dir, payloads, command, *args):
+    """Write the payloads as bundle.json and world.json, run the command on them,
+    return (exit code, stderr)."""
     for name, payload in payloads.items():
         (Path(tmp_dir) / f"{name}.json").write_bytes(json_bytes(payload))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["eval", "--bundle", str(Path(tmp_dir) / "bundle.json"),
-                     "--world", str(Path(tmp_dir) / "world.json"), "--mode", mode,
-                     "--trials", str(trials)])
+        code = main([command, "--bundle", str(Path(tmp_dir) / "bundle.json"),
+                     "--world", str(Path(tmp_dir) / "world.json"), *args])
     return code, err.getvalue()
+
+
+def _write_and_eval(tmp_dir, payloads, mode="cosine", trials=2):
+    return _write_and_run(tmp_dir, payloads, "eval", "--mode", mode, "--trials", str(trials))
 
 
 @functools.cache
@@ -429,10 +439,16 @@ def _repeat_first_attribute(payloads):
     schema.append(dict(schema[0]))
 
 
+def _add_unnamed_model(payloads):
+    models = payloads["bundle"]["models"]
+    models["ghost"] = dict(models["smile"])
+
+
 # mutations of value that loaded and ran at exit 0, each with a word of its error line
 BAD_VALUES = {
     "bundle.latent_dim": (lambda payloads: payloads["bundle"].update(latent_dim=5), "'latent_dim'"),
     "bundle.schema.repeated": (_repeat_first_attribute, "repeats an attribute"),
+    "bundle.models.unnamed": (_add_unnamed_model, "'ghost'"),
 }
 
 
@@ -494,5 +510,138 @@ def test_cli_single_field_type_mutation_exits_0_or_2(mutation, mode):
     with tempfile.TemporaryDirectory() as tmp_dir:
         code, err = _write_and_eval(tmp_dir, payloads, mode)
     assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error:")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAMES = st.text(min_size=1, max_size=4)
+
+
+@st.composite
+def training_metas(draw):
+    """Any fit record: NaN or finite loss and gradient norm, null or finite held-out metrics."""
+    return TrainingMeta(epochs_run=draw(st.integers(0, 10**6)),
+                        final_loss=draw(st.just(float("nan")) | FINITE),
+                        test_accuracy=draw(st.none() | st.floats(0.0, 1.0)),
+                        test_rmse=draw(st.none() | FINITE),
+                        grad_norm=draw(st.just(float("nan")) | FINITE))
+
+
+@st.composite
+def random_bundles(draw):
+    """A bundle of 1-4 attributes of every kind over a random dim, with or without provenance."""
+    dim = draw(st.integers(1, 6))
+    schema, models = [], {}
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["binary", "multiclass", "continuous"]),
+                                           min_size=1, max_size=4))):
+        name = f"a{i}"
+        if kind == "continuous":
+            lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+            schema.append(AttributeSchema.continuous(name, lo, hi))
+            classes = ()
+        else:
+            k = 2 if kind == "binary" else draw(st.integers(3, 5))
+            classes = tuple(draw(st.lists(NAMES, min_size=k, max_size=k, unique=True)))
+            schema.append(AttributeSchema(name, kind, classes))
+            classes = tuple(draw(st.permutations(classes)))  # a model may order its classes freely
+        rows = len(classes) if kind == "multiclass" else 1
+        models[name] = LatentModel(kind, draw(arrays(np.float64, (rows, dim), elements=FINITE)),
+                                   draw(arrays(np.float64, rows, elements=FINITE)), classes,
+                                   draw(training_metas()))
+    provenance = draw(st.none() | st.builds(
+        BundleProvenance, st.integers(), st.integers(0, 10**9),
+        st.builds(TrainingConfig, epochs=st.integers(1, 10**4), l2_penalty=st.floats(0.0, 1.0),
+                  split_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  seed=st.integers(0, 2**63)),
+        st.dictionaries(NAMES, st.none() | FINITE, max_size=3)))
+    return ModelBundle(tuple(schema), models, provenance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_bundles())
+def test_bundle_save_load_save_is_byte_exact(bundle):
+    saved = json_bytes(bundle_to_payload(bundle))
+    loaded = payload_to_bundle(json.loads(saved))
+    assert json_bytes(bundle_to_payload(loaded)) == saved
+    for attr in bundle.schema:
+        a, b = bundle.models[attr.name], loaded.models[attr.name]
+        assert (a.kind, a.classes) == (b.kind, b.classes)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.intercepts.tobytes() == b.intercepts.tobytes()
+
+
+def _set(*path):
+    """A mutation that sets the node at path to the drawn value."""
+    def mutate(payloads, value):
+        node = payloads
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return mutate
+
+
+def _resize(*path):
+    """A mutation that gives the list at path a drawn length other than its own."""
+    def mutate(payloads, length):
+        node = payloads
+        for step in path:
+            node = node[step]
+        node[:] = (node * 20)[:length] if length != len(node) else node + node[:1]
+    return mutate
+
+
+def _copy_class_name(payloads, pair):
+    names = payloads["bundle"]["models"]["hair"]["class_names"]
+    names[pair[0] % 3] = names[pair[1] % 3]
+
+
+KINDS = ["binary", "multiclass", "regressor", "continuous"]
+# value mutations of a valid bundle and world: (mutation, strategy of the value it takes)
+VALUE_MUTATIONS = {
+    "style.direction length": (_resize("bundle", "models", "style", "direction"), st.integers(0, 14)),
+    "smile.direction length": (_resize("bundle", "models", "smile", "direction"), st.integers(0, 14)),
+    "hair.class_weights[1] length": (_resize("bundle", "models", "hair", "class_weights", 1),
+                                     st.integers(0, 14)),
+    "hair.class_weights rows": (_resize("bundle", "models", "hair", "class_weights"),
+                                st.integers(0, 5)),
+    "hair.class_intercepts length": (_resize("bundle", "models", "hair", "class_intercepts"),
+                                     st.integers(0, 5)),
+    "hair.class_names length": (_resize("bundle", "models", "hair", "class_names"),
+                                st.integers(0, 5)),
+    "world direction length": (_resize("world", "directions", 0, "direction"), st.integers(0, 14)),
+    "style.kind": (_set("bundle", "models", "style", "kind"), st.sampled_from(KINDS) | NAMES),
+    "hair.kind": (_set("bundle", "models", "hair", "kind"), st.sampled_from(KINDS) | NAMES),
+    "smile.kind": (_set("bundle", "models", "smile", "kind"), st.sampled_from(KINDS) | NAMES),
+    "schema[0].kind": (_set("bundle", "schema", 0, "kind"), st.sampled_from(KINDS)),
+    "hair.class_names duplicate": (_copy_class_name, st.tuples(st.integers(0, 2), st.integers(1, 2))),
+    "style.positive_class": (_set("bundle", "models", "style", "positive_class"),
+                             st.sampled_from(["tee", "dress", "gown"])),
+    "style.negative_class": (_set("bundle", "models", "style", "negative_class"),
+                             st.sampled_from(["tee", "dress", "gown"])),
+}
+
+
+@st.composite
+def value_mutations(draw):
+    name = draw(st.sampled_from(sorted(VALUE_MUTATIONS)))
+    mutate, values = VALUE_MUTATIONS[name]
+    return name, mutate, draw(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_mutations(), st.sampled_from(["cosine", "latent", "end2end", "generate"]))
+def test_cli_single_field_value_mutation_exits_0_or_2(mutation, command):
+    name, mutate, value = mutation
+    payloads = trained_payloads()
+    mutate(payloads, value)
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        if command == "generate":
+            code, err = _write_and_run(tmp_dir, payloads, "generate", "--seed", "1",
+                                       "--cond", "style=dress,hair=blond,smile=0.7",
+                                       "--dump-image", str(Path(tmp_dir) / "img"))
+        else:
+            code, err = _write_and_eval(tmp_dir, payloads, command)
+    assert code in (0, 2), f"{name}={value!r}: {err}"
     if code == 2:
         assert err.startswith("error:")
