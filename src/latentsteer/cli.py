@@ -7,6 +7,7 @@ runtime failure. All randomness is controlled by explicit --seed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -201,6 +202,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args does not mutate the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latentsteer",

@@ -239,7 +239,8 @@ def _run_trials(bundle: ModelBundle, world: SyntheticWorld, trials: int, cfg: Ev
                 hits[name] += ok
                 all_discrete_ok &= ok
             for name, target in spec.continuous.items():
-                sq_err[name] += (outcome.continuous[name] - target) ** 2
+                d = outcome.continuous[name] - target
+                sq_err[name] += d * d  # a float ** 2 raises OverflowError where d * d gives inf
             joint_hits += all_discrete_ok
 
     accuracy = {name: h / trials for name, h in hits.items()}

@@ -131,9 +131,6 @@ class SyntheticWorld:
     def direction_for(self, name: str, class_name: str | None = None) -> np.ndarray:
         return self.directions[self.slot_index(name, class_name)]
 
-    def intercept_for(self, name: str, class_name: str | None = None) -> float:
-        return float(self.intercepts[self.slot_index(name, class_name)])
-
     def realized_entanglement(self) -> np.ndarray:
         m = self.directions @ self.directions.T
         m.flags.writeable = False
@@ -272,9 +269,9 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
             means[:, i] = (np.clip(raw[:, 0], attr.lo, attr.hi) - attr.lo) / (attr.hi - attr.lo)
     pixels = np.empty((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
     pixels[:, :, :-1, :] = means[:, None, :, None]
-    for n, z in enumerate(Z):
-        digest = hashlib.shake_256(z.tobytes()).digest(BLOCK_SIZE * BLOCK_SIZE)
-        pixels[n, :, -1, :] = np.frombuffer(digest, np.uint8).reshape(BLOCK_SIZE, -1) / 255.0
+    texture = b"".join([hashlib.shake_256(z.tobytes()).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
+    np.divide(np.frombuffer(texture, np.uint8).reshape(-1, BLOCK_SIZE, BLOCK_SIZE), 255.0,
+              out=pixels[:, :, -1, :])
     return pixels.reshape(len(Z), BLOCK_SIZE, -1)
 
 
@@ -299,12 +296,15 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     values = lo + means * (hi - lo)
     labels = {a.name: index[:, i] if a.is_discrete else values[:, i] for i, a in enumerate(attrs)}
     p = world.config.label_noise if label_noise is None else float(label_noise)
+    # per discrete attribute: its label column and how many other classes a resample draws from
+    noisy = [(labels[a.name], len(a.classes) - 1 if a.kind == MULTICLASS else 0)
+             for a in attrs if a.is_discrete]
     for row, seed in enumerate(noise_seeds if p > 0.0 else ()):
         rng = np.random.default_rng(seed)
-        for attr in attrs:
-            if attr.is_discrete and rng.random() < p:
-                other = int(rng.integers(len(attr.classes) - 1)) if attr.kind == MULTICLASS else 0
-                labels[attr.name][row] = other + (other >= labels[attr.name][row])
+        for column, others in noisy:
+            if rng.random() < p:
+                other = int(rng.integers(others)) if others else 0
+                column[row] = other + (other >= column[row])
     return labels
 
 

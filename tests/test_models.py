@@ -19,7 +19,8 @@ from latentsteer import (
     fit_regressor,
     sample_latents,
 )
-from latentsteer.models import GRAD_TOL, _split, logistic_loss_and_grad, softmax_loss_and_grad
+from latentsteer.models import (GRAD_TOL, _newton, _split, logistic_loss_and_grad,
+                                softmax_loss_and_grad)
 
 
 def two_clouds(seed=12, n_per=100, center=3.0):
@@ -366,6 +367,57 @@ def test_unpenalized_fit_on_separable_data_stays_finite():
     assert binary.training_meta.test_accuracy == 1.0 == multi.training_meta.test_accuracy
     for z in X:
         assert binary.predict(z) == multi.predict(z)
+
+
+def _reference_newton(X, Y, l2, max_iter):
+    """The damped Newton fit with every Hessian block computed from the data."""
+    (n, d), k = X.shape, Y.shape[1]
+    W, b = np.zeros((k, d)), np.zeros(k)
+    loss, gW, gb = softmax_loss_and_grad(W, b, X, Y, l2)
+    steps = 0
+    while True:
+        g = np.hstack([gW, gb[:, None]]).ravel()
+        if steps == max_iter or np.abs(g).max() <= GRAD_TOL:
+            break
+        logits = X @ W.T + b
+        P = np.exp(logits - logits.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        H = np.empty((k, d + 1, k, d + 1))
+        for a in range(k):
+            for c in range(k):
+                s = P[:, a] * (float(a == c) - P[:, c]) / n
+                H[a, :d, c, :d] = X.T @ (X * s[:, None]) + (l2 * np.eye(d) if a == c else 0.0)
+                H[a, :d, c, d] = H[a, d, c, :d] = s @ X
+                H[a, d, c, d] = s.sum()
+        H = H.reshape(k * (d + 1), k * (d + 1))
+        step = np.linalg.lstsq(H, -g, rcond=None)[0].reshape(k, d + 1)
+        t = 1.0
+        while t > 1e-12:
+            trial = softmax_loss_and_grad(W + t * step[:, :d], b + t * step[:, d], X, Y, l2)
+            if trial[0] <= loss + 1e-4 * t * float(g @ step.ravel()):
+                break
+            t /= 2
+        else:
+            break
+        W, b = W + t * step[:, :d], b + t * step[:, d]
+        loss, gW, gb = trial
+        steps += 1
+    return W, b, loss, float(np.abs(g).max()), steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("l2", [0.0, 1e-4, 1e-2])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_newton_matches_full_block_reference(k, l2, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((300, 5)) * rng.uniform(0.5, 3.0, size=5)
+    y = np.argmax(X @ rng.standard_normal((k, 5)).T + rng.gumbel(size=(300, k)), axis=1)
+    Y = np.eye(k)[y]
+    W, b, loss, grad_norm, steps = _newton(X, Y, l2, 100)
+    W_ref, b_ref, _, _, steps_ref = _reference_newton(X, Y, l2, 100)
+    assert steps == steps_ref and grad_norm <= GRAD_TOL
+    assert np.abs(W - W_ref).max() <= 1e-10 * np.abs(W_ref).max()
+    assert np.abs(b - b_ref).max() <= 1e-10 * np.abs(b_ref).max()
 
 
 def test_old_bundle_payload_with_descent_knobs_loads_and_resaves_without_them():

@@ -629,6 +629,15 @@ def value_mutations(draw):
     return name, mutate, draw(values)
 
 
+def _write_and_run_command(tmp_dir, payloads, command):
+    """`generate` with a fixed condition and image dump, or `eval` in the mode command names."""
+    if command == "generate":
+        return _write_and_run(tmp_dir, payloads, "generate", "--seed", "1",
+                              "--cond", "style=dress,hair=blond,smile=0.7",
+                              "--dump-image", str(Path(tmp_dir) / "img"))
+    return _write_and_eval(tmp_dir, payloads, command)
+
+
 @settings(max_examples=300, deadline=None)
 @given(value_mutations(), st.sampled_from(["cosine", "latent", "end2end", "generate"]))
 def test_cli_single_field_value_mutation_exits_0_or_2(mutation, command):
@@ -636,12 +645,36 @@ def test_cli_single_field_value_mutation_exits_0_or_2(mutation, command):
     payloads = trained_payloads()
     mutate(payloads, value)
     with tempfile.TemporaryDirectory() as tmp_dir:
-        if command == "generate":
-            code, err = _write_and_run(tmp_dir, payloads, "generate", "--seed", "1",
-                                       "--cond", "style=dress,hair=blond,smile=0.7",
-                                       "--dump-image", str(Path(tmp_dir) / "img"))
-        else:
-            code, err = _write_and_eval(tmp_dir, payloads, command)
+        code, err = _write_and_run_command(tmp_dir, payloads, command)
     assert code in (0, 2), f"{name}={value!r}: {err}"
     if code == 2:
+        assert err.startswith("error:")
+
+
+# model fields whose every number a scale mutation sets to one value
+SCALED_FIELDS = {
+    "style.direction": ("bundle", "models", "style", "direction"),
+    "smile.direction": ("bundle", "models", "smile", "direction"),
+    "style.intercept": ("bundle", "models", "style", "intercept"),
+    "hair.class_weights": ("bundle", "models", "hair", "class_weights"),
+}
+
+
+def _fill(node, value):
+    return [_fill(child, value) for child in node] if isinstance(node, list) else value
+
+
+@pytest.mark.parametrize("command", ["latent", "end2end", "cosine", "generate"])
+@pytest.mark.parametrize("value", [1e300, 1e-300, 0.0])
+@pytest.mark.parametrize("field", list(SCALED_FIELDS))
+def test_cli_scaled_field_exits_0_2_or_3(tmp_path, field, value, command):
+    *path, key = SCALED_FIELDS[field]
+    payloads = trained_payloads()
+    node = payloads
+    for step in path:
+        node = node[step]
+    node[key] = _fill(node[key], value)
+    code, err = _write_and_run_command(tmp_path, payloads, command)
+    assert code in (0, 2, 3), f"{field}={value!r}: {err}"
+    if code != 0:
         assert err.startswith("error:")
