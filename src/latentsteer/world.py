@@ -264,14 +264,14 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
         if attr.is_discrete:
             means[:, i] = decide(attr.kind, raw) / (len(attr.classes) - 1)
         elif world.config.continuous_profile == PROFILE_SIGMOID:
-            means[:, i] = 1.0 / (1.0 + np.exp(-raw[:, 0]))
+            np.divide(1.0, np.exp(-raw[:, 0]) + 1.0, means[:, i])
         else:
             means[:, i] = (np.clip(raw[:, 0], attr.lo, attr.hi) - attr.lo) / (attr.hi - attr.lo)
     pixels = np.empty((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
     pixels[:, :, :-1, :] = means[:, None, :, None]
-    texture = b"".join([hashlib.shake_256(z.tobytes()).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
-    np.divide(np.frombuffer(texture, np.uint8).reshape(-1, BLOCK_SIZE, BLOCK_SIZE), 255.0,
-              out=pixels[:, :, -1, :])
+    texture = b"".join([hashlib.shake_256(z).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
+    np.divide(np.frombuffer(texture, np.uint8).reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE), 255.0,
+              pixels[:, :, -1, :])
     return pixels.reshape(len(Z), BLOCK_SIZE, -1)
 
 

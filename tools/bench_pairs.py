@@ -65,17 +65,16 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         head = [p["head"]["metrics"][name]["value"] for p in pairs]
         sign = -1.0 if better.get(name) == "lower" else 1.0
-        changes = [(h - b) / b if b else None for b, h in zip(base, head)]
+        base_median, head_median = statistics.median(base), statistics.median(head)
         out[name] = {
             "unit": pairs[0]["base"]["metrics"][name]["unit"],
             "better": better.get(name),
-            "base_median": statistics.median(base),
-            "head_median": statistics.median(head),
+            "base_median": base_median,
+            "head_median": head_median,
             "base_quartiles": quartiles(base),
             "head_quartiles": quartiles(head),
-            "median_change": (statistics.median(head) - statistics.median(base))
-            / statistics.median(base) if statistics.median(base) else None,
-            "pair_changes": changes,
+            "median_change": (head_median - base_median) / base_median if base_median else None,
+            "pair_changes": [(h - b) / b if b else None for b, h in zip(base, head)],
             "pairs_head_better": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
             "pairs_tied": sum(h == b for b, h in zip(base, head)),
         }
