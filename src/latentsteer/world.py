@@ -296,10 +296,12 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     values = lo + means * (hi - lo)
     labels = {a.name: index[:, i] if a.is_discrete else values[:, i] for i, a in enumerate(attrs)}
     p = world.config.label_noise if label_noise is None else float(label_noise)
+    if p <= 0.0:
+        return labels
     # per discrete attribute: its label column and how many other classes a resample draws from
     noisy = [(labels[a.name], len(a.classes) - 1 if a.kind == MULTICLASS else 0)
              for a in attrs if a.is_discrete]
-    for row, seed in enumerate(noise_seeds if p > 0.0 else ()):
+    for row, seed in enumerate(noise_seeds):
         rng = np.random.default_rng(seed)
         for column, others in noisy:
             if rng.random() < p:
