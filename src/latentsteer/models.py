@@ -286,16 +286,13 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     sum_i s_ac(i) x~_i x~_i^T / n, where s_ac = P_a (delta_ac - P_c). The
     probabilities sum to one, so every block row sums to zero: the last
     class's blocks are minus the sums of the others, and only the blocks with
-    a <= c < k - 1 take a pass over the data (1 for a binary fit). s_ac has
-    one sign per block (>= 0 on the diagonal, <= 0 off it), so each block's
-    weight part is +-(X r)^T (X r) with r = sqrt|s_ac|, a symmetric product.
-    The penalty l2 I is added after the fill. Only one (n, d) temporary is
-    alive at a time: each X r is freed before the next is made.
+    a <= c < k - 1 take a pass over the data (1 for a binary fit). The
+    penalty l2 I is added after the fill. Only one (n, d) temporary, X s_ac,
+    is alive at a time: each is freed before the next is made.
     """
     (n, d), k = X.shape, Y.shape[1]
     W, b = np.zeros((k, d)), np.zeros(k)
     loss, gW, gb = softmax_loss_and_grad(W, b, X, Y, l2)
-    weight_entries = np.flatnonzero(np.arange(k * (d + 1)) % (d + 1) != d)
     steps = 0
     while True:
         g = np.hstack([gW, gb[:, None]]).ravel()  # per class: d weights, then the intercept
@@ -307,20 +304,16 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
         H = np.empty((k, d + 1, k, d + 1))
         for a in range(k - 1):
             for c in range(a, k - 1):
-                sign = 1.0 if a == c else -1.0
-                s = sign * P[:, a] * (float(a == c) - P[:, c]) / n  # |s_ac|
+                s = P[:, a] * (float(a == c) - P[:, c]) / n
+                H[a, :d, c, :d] = X.T @ (X * s[:, None])
                 H[a, :d, c, d] = H[a, d, c, :d] = s @ X
                 H[a, d, c, d] = s.sum()
-                Xr = X * np.sqrt(s, out=s)[:, None]
-                H[a, :d, c, :d] = Xr.T @ Xr
-                del Xr
-                H[a, :, c, :] *= sign
                 H[c, :, a, :] = H[a, :, c, :].T
             H[a, :, k - 1, :] = -H[a, :, :k - 1, :].sum(axis=1)
             H[k - 1, :, a, :] = H[a, :, k - 1, :].T
         H[k - 1, :, k - 1, :] = -H[k - 1, :, :k - 1, :].sum(axis=1)
+        np.einsum("aiai->ai", H)[:, :d] += l2  # a writable view of the diagonal
         H = H.reshape(k * (d + 1), k * (d + 1))
-        H[weight_entries, weight_entries] += l2
         if not (np.isfinite(H).all() and np.isfinite(g).all()):
             raise DivergenceError(steps, "non-finite gradient or Hessian")
         step = np.linalg.lstsq(H, -g, rcond=None)[0].reshape(k, d + 1)

@@ -3,17 +3,18 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --out BENCH_6.json [--base HEAD~1] [--head HEAD]
-        [--workloads train,steer,generate] [--pairs 10] [--seconds 40] [--seed 601]
+        [--pairs 10] [--seed 601]
 
 Each revision is exported with `git archive` into its own temporary
 directory, so both sides run from committed files only and no run writes
-into the working tree. For pair i of a workload, `bench/run.py --workload W
---seed SEED+i --seconds S --trace 0` runs once on each side, the base first
-on even pairs and the head first on odd ones, one run at a time. The record
-holds every result line, per metric the medians, quartiles and per-pair
-relative changes, both SHAs and the machine facts the first run wrote.
-Uses the standard library only; it reads BENCHMARK.json for each metric's
-better direction and changes nothing under bench/.
+into the working tree. The workloads, the run length and each metric's
+better direction come from BENCHMARK.json. For pair i of a workload,
+`bench/run.py --workload W --seed SEED+i --seconds S --trace 0` runs once on
+each side, the base first on even pairs and the head first on odd ones, one
+run at a time. The record holds every result line, per metric the medians,
+quartiles and per-pair relative changes, both SHAs and the machine facts the
+first run wrote. Uses the standard library only and changes nothing under
+bench/.
 """
 
 from __future__ import annotations
@@ -98,30 +99,29 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="the record to write, e.g. BENCH_6.json")
     p.add_argument("--base", default="HEAD~1")
     p.add_argument("--head", default="HEAD")
-    p.add_argument("--workloads", default="train,steer,generate")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--seed", type=int, default=601, help="seed of the first pair")
     args = p.parse_args(argv)
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
 
     record = {"command": "bench/run.py --workload W --seed S --seconds T --trace 0",
-              "seconds": args.seconds, "order": "base first on even pairs, head first on odd"}
+              "seconds": seconds, "order": "base first on even pairs, head first on odd"}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "head")}
         for side, rev in (("base", args.base), ("head", args.head)):
             trees[side].mkdir()
             record[side] = {"rev": rev, "sha": export(rev, trees[side])}
         record["workloads"] = {}
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                    pair[side] = run_once(trees[side], workload, seed, seconds)
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
                 pairs.append(pair)
