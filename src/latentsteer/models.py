@@ -49,6 +49,7 @@ MULTICLASS = "multiclass"
 CONTINUOUS = "continuous"
 
 GRAD_TOL = 1e-8  # a classifier fit stops once max |grad| falls to this
+HESSIAN_ROWS = 512  # rows per weighted product of a Hessian block: bounds the fit's temporary
 
 
 def decide(kind: str, scores: np.ndarray) -> np.ndarray:
@@ -287,8 +288,9 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     probabilities sum to one, so every block row sums to zero: the last
     class's blocks are minus the sums of the others, and only the blocks with
     a <= c < k - 1 take a pass over the data (1 for a binary fit). The
-    penalty l2 I is added after the fill. Only one (n, d) temporary, X s_ac,
-    is alive at a time: each is freed before the next is made.
+    penalty l2 I is added after the fill. A block's weight part is summed
+    over HESSIAN_ROWS rows at a time, so the largest temporary is the
+    (HESSIAN_ROWS, d) slice of X s_ac, not an (n, d) array.
     """
     (n, d), k = X.shape, Y.shape[1]
     W, b = np.zeros((k, d)), np.zeros(k)
@@ -305,7 +307,9 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
         for a in range(k - 1):
             for c in range(a, k - 1):
                 s = P[:, a] * (float(a == c) - P[:, c]) / n
-                H[a, :d, c, :d] = X.T @ (X * s[:, None])
+                H[a, :d, c, :d] = sum(
+                    X[i:i + HESSIAN_ROWS].T @ (X[i:i + HESSIAN_ROWS] * s[i:i + HESSIAN_ROWS, None])
+                    for i in range(0, n, HESSIAN_ROWS))
                 H[a, :d, c, d] = H[a, d, c, :d] = s @ X
                 H[a, d, c, d] = s.sum()
                 H[c, :, a, :] = H[a, :, c, :].T

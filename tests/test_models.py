@@ -19,8 +19,8 @@ from latentsteer import (
     fit_regressor,
     sample_latents,
 )
-from latentsteer.models import (GRAD_TOL, _newton, _split, logistic_loss_and_grad,
-                                softmax_loss_and_grad)
+from latentsteer.models import (GRAD_TOL, HESSIAN_ROWS, _newton, _split,
+                                logistic_loss_and_grad, softmax_loss_and_grad)
 
 
 def two_clouds(seed=12, n_per=100, center=3.0):
@@ -410,8 +410,9 @@ def _reference_newton(X, Y, l2, max_iter):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_newton_matches_full_block_reference(k, l2, seed):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((300, 5)) * rng.uniform(0.5, 3.0, size=5)
-    y = np.argmax(X @ rng.standard_normal((k, 5)).T + rng.gumbel(size=(300, k)), axis=1)
+    n = 2 * HESSIAN_ROWS + 77  # two full row slices and a partial one
+    X = rng.standard_normal((n, 5)) * rng.uniform(0.5, 3.0, size=5)
+    y = np.argmax(X @ rng.standard_normal((k, 5)).T + rng.gumbel(size=(n, k)), axis=1)
     Y = np.eye(k)[y]
     W, b, loss, grad_norm, steps = _newton(X, Y, l2, 100)
     W_ref, b_ref, _, _, steps_ref = _reference_newton(X, Y, l2, 100)
