@@ -222,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=500, help="cap on Newton iterations per fit")
     p.add_argument("--l2-penalty", type=float, default=1e-4)
     p.add_argument("--split-fraction", type=float, default=0.8)
-    # accepted and ignored: the Newton fit takes no step size or momentum
-    p.add_argument("--learning-rate", "--momentum", type=float, help=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

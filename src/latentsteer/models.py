@@ -274,14 +274,39 @@ def _split(n: int, cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
     return perm[:n_train], perm[n_train:]
 
 
+def _min_norm_solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The minimum-norm x with H x = r for a symmetric positive semi-definite H.
+
+    np.linalg.solve where a Cholesky factor shows H safely positive definite:
+    every squared pivot bounds the smallest eigenvalue from above, so one at
+    rounding level (or a failed factor) marks a flat direction, which lstsq
+    leaves out of the solution.
+    """
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(H)) ** 2
+        if pivots.min() > len(r) * np.finfo(np.float64).eps * np.diagonal(H).max():
+            return np.linalg.solve(H, r)
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(H, r, rcond=None)[0]
+
+
 def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     """Minimize softmax_loss_and_grad over (W, b) by damped Newton steps from zero.
 
-    Each step solves H step = -grad by least squares, so it never moves along
-    the directions the loss is flat in (a shared intercept shift, and at
-    l2 = 0 a shared weight shift), and is halved until the Armijo condition
-    holds. Stops once max |grad| <= GRAD_TOL, after max_iter steps, or when
-    no halving lowers the loss. Returns W, b, loss, max |grad| and steps.
+    Each step is the minimum-norm solution of H step = -grad, halved until
+    the Armijo condition holds. Stops once max |grad| <= GRAD_TOL, after
+    max_iter steps, or when no halving lowers the loss. Returns W, b, loss,
+    max |grad| and steps.
+
+    Shifting one coordinate of every class by the same amount leaves the
+    probabilities unchanged, so each shared shift u_i = (1, ..., 1) e_i / sqrt(k)
+    is an eigenvector of H (eigenvalue 0 for the intercept, l2 for a weight)
+    that grad is orthogonal to. Adding u_i u_i^T, i.e. 1/k on every
+    (class a, class c, same coordinate) entry, makes H invertible without
+    changing the step, so np.linalg.solve returns the step lstsq would. Where
+    H is still singular (a dead or collinear latent column at l2 = 0) the
+    step is lstsq's (see _min_norm_solve).
 
     With x~ = [x, 1], block (a, c) of the Hessian's data part is
     sum_i s_ac(i) x~_i x~_i^T / n, where s_ac = P_a (delta_ac - P_c). The
@@ -317,10 +342,11 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
             H[k - 1, :, a, :] = H[a, :, k - 1, :].T
         H[k - 1, :, k - 1, :] = -H[k - 1, :, :k - 1, :].sum(axis=1)
         np.einsum("aiai->ai", H)[:, :d] += l2  # a writable view of the diagonal
+        np.einsum("aici->aci", H)[...] += 1.0 / k  # the shared shifts u_i u_i^T
         H = H.reshape(k * (d + 1), k * (d + 1))
         if not (np.isfinite(H).all() and np.isfinite(g).all()):
             raise DivergenceError(steps, "non-finite gradient or Hessian")
-        step = np.linalg.lstsq(H, -g, rcond=None)[0].reshape(k, d + 1)
+        step = _min_norm_solve(H, -g).reshape(k, d + 1)
         t = 1.0
         while t > 1e-12:
             trial = softmax_loss_and_grad(W + t * step[:, :d], b + t * step[:, d], X, Y, l2)
@@ -416,9 +442,14 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
         raise UnlearnableAttributeError("regression needs at least 2 samples")
 
     tr, te = _split(X.shape[0], cfg)
-    A = np.hstack([X[tr], np.ones((len(tr), 1))])
-    gram = A.T @ A + 1e-6 * np.eye(A.shape[1])
-    beta = np.linalg.solve(gram, A.T @ y[tr])
+    Xtr, d = X[tr], X.shape[1]
+    # the Gram matrix of [X, 1] from its blocks, without copying X into [X, 1]
+    gram = np.empty((d + 1, d + 1))
+    gram[:d, :d] = Xtr.T @ Xtr
+    gram[:d, d] = gram[d, :d] = Xtr.sum(axis=0)
+    gram[d, d] = len(tr)
+    gram += 1e-6 * np.eye(d + 1)
+    beta = np.linalg.solve(gram, np.append(Xtr.T @ y[tr], y[tr].sum()))
     slope, intercept = beta[:-1], float(beta[-1])
 
     resid = X[te] @ slope + intercept - y[te]

@@ -35,8 +35,8 @@ from .models import (
     fit_multiclass,
     fit_regressor,
 )
-from .world import (AttributeLabels, SyntheticWorld, WorldConfig, build_world, generate_image,
-                    oracle_label, read_batch, render_batch)
+from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _render_attributes, build_world,
+                    generate_image, oracle_label, read_batch)
 
 __all__ = [
     "EvalConfig",
@@ -96,8 +96,8 @@ def run_training(world: SyntheticWorld, n_samples: int,
     # read only when the world's labels are noisy
     noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
 
-    # a block at a time, so only one block's pixels are alive at once
-    blocks = [read_batch(world, render_batch(world, Z[s:s + ROW_BLOCK]),
+    # a block at a time, so only one block's pixels are alive at once; labels need no texture
+    blocks = [read_batch(world, _render_attributes(world, Z[s:s + ROW_BLOCK]),
                          noise_seeds[s:s + ROW_BLOCK]) for s in range(0, n_samples, ROW_BLOCK)]
 
     models = {}

@@ -11,7 +11,9 @@ block: each attribute's value is encoded as its block's mean (discrete ones
 by the models' tie rule), and an oracle reads the blocks back into labels
 (optionally flipping discrete labels with a configured noise probability).
 Both work on batches (`render_batch`, `read_batch`); `generate_image` and
-`oracle_label`, each a batch of one, judge eval trials one at a time.
+`oracle_label`, each a batch of one, judge eval trials one at a time. The
+texture block hashes the latent's bytes and is rendered only where an image
+is returned: the oracle never reads it, so training labels skip it.
 """
 
 from __future__ import annotations
@@ -245,12 +247,8 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
     return SyntheticWorld(cfg, directions, intercepts, slots)
 
 
-def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
-    """Pixel strips (n, BLOCK_SIZE, BLOCK_SIZE * blocks) of (n, dim) latents.
-
-    One einsum scores a row the same way alone or in a batch, so row i is
-    the render of Z[i] alone.
-    """
+def _render_attributes(world: SyntheticWorld, Z) -> np.ndarray:
+    """`render_batch`'s pixels with the texture block left at zero: all that `read_batch` reads."""
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != world.latent_dim:
         raise DimensionMismatchError(world.latent_dim, Z.shape[-1], what="latent vector")
@@ -267,12 +265,23 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
             np.divide(1.0, np.exp(-raw[:, 0]) + 1.0, means[:, i])
         else:
             means[:, i] = (np.clip(raw[:, 0], attr.lo, attr.hi) - attr.lo) / (attr.hi - attr.lo)
-    pixels = np.empty((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
+    pixels = np.zeros((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
     pixels[:, :, :-1, :] = means[:, None, :, None]
+    return pixels.reshape(len(Z), BLOCK_SIZE, -1)
+
+
+def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
+    """Pixel strips (n, BLOCK_SIZE, BLOCK_SIZE * blocks) of (n, dim) latents.
+
+    One einsum scores a row the same way alone or in a batch, so row i is
+    the render of Z[i] alone. The texture block hashes each latent's bytes.
+    """
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    pixels = _render_attributes(world, Z)
     texture = b"".join([hashlib.shake_256(z).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
     np.divide(np.frombuffer(texture, np.uint8).reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE), 255.0,
-              pixels[:, :, -1, :])
-    return pixels.reshape(len(Z), BLOCK_SIZE, -1)
+              pixels[:, :, -BLOCK_SIZE:])
+    return pixels
 
 
 def read_batch(world: SyntheticWorld, pixels, noise_seeds,
@@ -282,27 +291,42 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     With probability p each discrete label of image i, drawn in attribute
     order from default_rng(noise_seeds[i]), is flipped or resampled among the
     other classes. label_noise overrides the world's p (0.0 reads noiselessly).
+    The texture block is never read.
     """
     attrs = world.config.attributes
     pixels = np.asarray(pixels, dtype=np.float64)
+    n = len(pixels)
     if pixels.shape[1:] != (BLOCK_SIZE, BLOCK_SIZE * (len(attrs) + 1)):
         raise LayoutError(f"images of shape {pixels.shape[1:]} do not hold {len(attrs) + 1} blocks")
+    if len(noise_seeds) != n:
+        raise ValueError(f"{len(noise_seeds)} noise seeds for {n} images")
     # each block's pixels copied together, so its mean rounds the same in any batch
-    blocks = pixels.reshape(len(pixels), BLOCK_SIZE, -1, BLOCK_SIZE).transpose(0, 2, 1, 3)
-    means = blocks.reshape(len(pixels), len(attrs) + 1, -1).mean(axis=2)[:, :-1]
+    blocks = pixels.reshape(n, BLOCK_SIZE, -1, BLOCK_SIZE)[:, :, :-1].transpose(0, 2, 1, 3)
+    means = blocks.reshape(n, len(attrs), -1).mean(axis=2)
     # every block is read both ways, and each attribute keeps the reading of its kind
     lo, hi, k = np.array([(a.lo, a.hi, len(a.classes) - 1) for a in attrs]).T
     index = np.clip(np.rint(means * k), 0, k).astype(np.intp)
     values = lo + means * (hi - lo)
     labels = {a.name: index[:, i] if a.is_discrete else values[:, i] for i, a in enumerate(attrs)}
     p = world.config.label_noise if label_noise is None else float(label_noise)
-    if p <= 0.0:
+    discrete = [a for a in attrs if a.is_discrete]
+    if p <= 0.0 or not discrete:
         return labels
+    # default_rng(seed).random() is (next_uint64 >> 11) * 2**-53, so an image's draws are its
+    # raw PCG64 outputs, one per discrete attribute, until a multiclass label resamples
+    raw = np.array([np.random.PCG64(seed).random_raw(len(discrete)) for seed in noise_seeds],
+                   dtype=np.uint64).reshape(n, len(discrete))
+    flips = (raw >> 11) * 2.0**-53 < p
+    # integers() then draws buffered 32-bit halves, so those rows are replayed one draw at a time
+    replay = flips[:, [a.kind == MULTICLASS for a in discrete]].any(axis=1)
+    for a, flip in zip(discrete, flips.T):
+        if a.kind != MULTICLASS:
+            rows = flip & ~replay
+            labels[a.name][rows] = 1 - labels[a.name][rows]
     # per discrete attribute: its label column and how many other classes a resample draws from
-    noisy = [(labels[a.name], len(a.classes) - 1 if a.kind == MULTICLASS else 0)
-             for a in attrs if a.is_discrete]
-    for row, seed in enumerate(noise_seeds):
-        rng = np.random.default_rng(seed)
+    noisy = [(labels[a.name], len(a.classes) - 1 if a.kind == MULTICLASS else 0) for a in discrete]
+    for row in np.flatnonzero(replay):
+        rng = np.random.default_rng(noise_seeds[row])
         for column, others in noisy:
             if rng.random() < p:
                 other = int(rng.integers(others)) if others else 0

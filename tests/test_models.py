@@ -356,6 +356,25 @@ def test_default_fits_are_stationary_points():
         assert 1 <= meta.epochs_run < 50
 
 
+@pytest.mark.parametrize("column", ["dead", "duplicate"])
+def test_unpenalized_fit_with_a_degenerate_column_takes_the_minimum_norm_steps(column):
+    # at l2 = 0 a zero or repeated column leaves H singular beyond the shared class shifts
+    Z, classes, positive = noisy_linear_labels(n=1000, dim=6)
+    Z = Z.copy()
+    Z[:, 2] = 0.0 if column == "dead" else Z[:, 1]
+    cfg = TrainingConfig(l2_penalty=0.0)
+    binary = fit_binary(Z, ["pos" if p else "neg" for p in positive], cfg, positive_class="pos")
+    multi = fit_multiclass(Z, classes, cfg)
+    for model in (binary, multi):
+        meta, W = model.training_meta, model.weights
+        assert meta.grad_norm <= GRAD_TOL and meta.epochs_run >= 3
+        assert np.abs(W[:, [0, 1, 3]]).min() > 1e-3  # the live columns are used
+        if column == "dead":
+            assert np.abs(W[:, 2]).max() < 1e-12
+        else:  # the minimum-norm weights split evenly between the two copies
+            assert np.abs(W[:, 2] - W[:, 1]).max() < 1e-9 * np.abs(W).max()
+
+
 def test_unpenalized_fit_on_separable_data_stays_finite():
     X, y, separable = two_clouds(seed=12)
     assert separable

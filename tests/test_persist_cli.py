@@ -292,13 +292,28 @@ def test_cli_train_at_scale_prints_high_accuracy(tmp_path, capsys):
     main(["world-init", "--config", str(cfg), "--out", str(world_path)])
     capsys.readouterr()
     code = main(["train", "--world", str(world_path), "--n", "10000",
-                 "--learning-rate", "1.0", "--epochs", "1000", "--seed", "2",
+                 "--epochs", "1000", "--seed", "2",
                  "--out", str(tmp_path / "b.json")])
     assert code == 0
     out = capsys.readouterr().out
     for line in out.splitlines():
         if line.startswith("style"):
             assert float(line.split()[-1]) >= 0.99
+
+
+@pytest.mark.parametrize("flag", ["--learning-rate", "--momentum"])
+def test_cli_train_rejects_removed_descent_flags(tmp_path, capsys, flag):
+    # the Newton fit takes no step size or momentum, and the flags are gone
+    cfg = tmp_path / "cfg.json"
+    write_world_config(cfg)
+    world_path = tmp_path / "world.json"
+    main(["world-init", "--config", str(cfg), "--out", str(world_path)])
+    capsys.readouterr()
+    code = main(["train", "--world", str(world_path), "--n", "200", flag, "1.0",
+                 "--out", str(tmp_path / "b.json")])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_cli_generate_calibrated_lands_on_target(tmp_path, capsys):

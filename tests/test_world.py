@@ -19,7 +19,7 @@ from latentsteer import (
     sample_latents,
 )
 from latentsteer.pipeline import ROW_BLOCK
-from latentsteer.world import BLOCK_SIZE, direction_slots
+from latentsteer.world import BLOCK_SIZE, _render_attributes, direction_slots
 
 
 def simple_config(**overrides):
@@ -324,3 +324,52 @@ def test_batched_read_matches_scalar_reference_noise_included(case):
                 assert attr.classes[labels[attr.name][i]] == expected[attr.name]
             else:
                 assert labels[attr.name][i] == pytest.approx(expected[attr.name], rel=1e-15, abs=1e-15)
+
+
+def _world_with_multiclass_at(positions, label_noise):
+    attrs = [AttributeSchema.binary("b0", "n", "p"), AttributeSchema.binary("b1", "n", "p"),
+             AttributeSchema.continuous("c", 0.0, 1.0)]
+    for i in positions:
+        attrs.insert(i, AttributeSchema.multiclass(f"m{i}", ["x", "y", "z"]))
+    return build_world(WorldConfig(dim=10, attributes=tuple(attrs), label_noise=label_noise,
+                                   continuous_profile="sigmoid", seed=len(attrs) + positions[0]))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.49])
+@pytest.mark.parametrize("positions", [(0,), (2,), (3,), (0, 4)])  # first, between, last, twice
+def test_noisy_read_matches_scalar_reference_on_every_row(positions, p):
+    world = _world_with_multiclass_at(positions, p)
+    rng = np.random.default_rng(positions[0])
+    Z = rng.standard_normal((600, world.latent_dim))
+    seeds = np.concatenate([rng.integers(2**32, size=300), rng.integers(2**32, 2**62, size=300)])
+    labels = read_batch(world, render_batch(world, Z), seeds)
+    clean = read_batch(world, render_batch(world, Z), seeds, label_noise=0.0)
+    for i, z in enumerate(Z):
+        expected = _reference_labels(world, generate_image(world, z), int(seeds[i]))
+        for attr in world.config.attributes:
+            if attr.is_discrete:
+                assert attr.classes[labels[attr.name][i]] == expected[attr.name]
+    # a resampled multiclass label is read by replaying the row's draws
+    for i in positions:
+        resampled = labels[f"m{i}"] != clean[f"m{i}"]
+        assert resampled[:300].any() and resampled[300:].any()
+
+
+def test_read_rejects_a_noise_seed_count_unlike_the_image_count():
+    world = build_world(simple_config(label_noise=0.3))
+    pixels = render_batch(world, sample_latents(4, world.latent_dim, 0))
+    for seeds in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(ValueError, match="noise seeds"):
+            read_batch(world, pixels, seeds)
+    assert read_batch(world, pixels, [1, 2, 3, 4])["style"].shape == (4,)
+
+
+def test_labelling_render_leaves_only_the_texture_out():
+    world = _world_with_multiclass_at((2,), 0.3)
+    Z = sample_latents(300, world.latent_dim, 1)
+    seeds = np.arange(300)
+    full, bare = render_batch(world, Z), _render_attributes(world, Z)
+    assert (bare[:, :, -BLOCK_SIZE:] == 0.0).all()
+    assert bare[:, :, :-BLOCK_SIZE].tobytes() == full[:, :, :-BLOCK_SIZE].tobytes()
+    for name, column in read_batch(world, bare, seeds).items():
+        assert column.tobytes() == read_batch(world, full, seeds)[name].tobytes()
