@@ -35,7 +35,7 @@ from .models import (
     fit_multiclass,
     fit_regressor,
 )
-from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _render_attributes, build_world,
+from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _render, build_world,
                     generate_image, oracle_label, read_batch)
 
 __all__ = [
@@ -97,7 +97,7 @@ def run_training(world: SyntheticWorld, n_samples: int,
     noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
 
     # a block at a time, so only one block's pixels are alive at once; labels need no texture
-    blocks = [read_batch(world, _render_attributes(world, Z[s:s + ROW_BLOCK]),
+    blocks = [read_batch(world, _render(world, Z[s:s + ROW_BLOCK], texture=False),
                          noise_seeds[s:s + ROW_BLOCK]) for s in range(0, n_samples, ROW_BLOCK)]
 
     models = {}

@@ -46,6 +46,10 @@ BLOCK_SIZE = 8
 PROFILE_LINEAR = "linear"
 PROFILE_SIGMOID = "sigmoid"
 
+# from this many noisy images on, seeding their generators in array operations (_pcg64_raw)
+# beats building one generator per image
+NOISE_BATCH = 32
+
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -247,8 +251,11 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
     return SyntheticWorld(cfg, directions, intercepts, slots)
 
 
-def _render_attributes(world: SyntheticWorld, Z) -> np.ndarray:
-    """`render_batch`'s pixels with the texture block left at zero: all that `read_batch` reads."""
+def _render(world: SyntheticWorld, Z, texture: bool) -> np.ndarray:
+    """`render_batch`, whose texture block is left at zero unless texture is set.
+
+    The texture block is all that `read_batch` does not read.
+    """
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != world.latent_dim:
         raise DimensionMismatchError(world.latent_dim, Z.shape[-1], what="latent vector")
@@ -265,8 +272,14 @@ def _render_attributes(world: SyntheticWorld, Z) -> np.ndarray:
             np.divide(1.0, np.exp(-raw[:, 0]) + 1.0, means[:, i])
         else:
             means[:, i] = (np.clip(raw[:, 0], attr.lo, attr.hi) - attr.lo) / (attr.hi - attr.lo)
-    pixels = np.zeros((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
+    pixels = np.empty((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
     pixels[:, :, :-1, :] = means[:, None, :, None]
+    if texture:
+        digests = b"".join([hashlib.shake_256(z).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
+        np.divide(np.frombuffer(digests, np.uint8).reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE), 255.0,
+                  pixels[:, :, -1, :])
+    else:
+        pixels[:, :, -1, :] = 0.0
     return pixels.reshape(len(Z), BLOCK_SIZE, -1)
 
 
@@ -276,12 +289,68 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
     One einsum scores a row the same way alone or in a batch, so row i is
     the render of Z[i] alone. The texture block hashes each latent's bytes.
     """
-    Z = np.ascontiguousarray(Z, dtype=np.float64)
-    pixels = _render_attributes(world, Z)
-    texture = b"".join([hashlib.shake_256(z).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
-    np.divide(np.frombuffer(texture, np.uint8).reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE), 255.0,
-              pixels[:, :, -BLOCK_SIZE:])
-    return pixels
+    return _render(world, Z, texture=True)
+
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier (high and low halves)
+_SS_INIT_A, _SS_MULT_A, _SS_INIT_B, _SS_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_M32 = 0xFFFFFFFF
+
+
+def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """(high, low) halves of (hi, lo) * multiplier + (inc_hi, inc_lo) modulo 2**128."""
+    a0, a1, b0, b1 = lo & _M32, lo >> 32, _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    cross = (a0 * b0 >> 32) + (a1 * b0 & _M32) + (a0 * b1 & _M32)
+    carry = a1 * b1 + (a1 * b0 >> 32) + (a0 * b1 >> 32) + (cross >> 32)  # high half of lo * b
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    return carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _pcg64_raw(seeds: np.ndarray, m: int) -> np.ndarray:
+    """(n, m): np.random.PCG64(seed).random_raw(m) for each of n uint64 seeds, in array operations.
+
+    SeedSequence(seed) hashes the seed's two 32-bit words, zero-padded to its
+    pool of four, mixes the pool and draws eight words from it. PCG64 seeds
+    its 128-bit LCG from those and outputs the high ^ low half of each next
+    state, rotated right by the state's top six bits. uint32 and uint64
+    arrays wrap as the C code does.
+    """
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _SS_MULT_A & _M32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    zero = np.zeros(len(seeds), np.uint32)
+    pool = [hashmix(word) for word in ((seeds & _M32).astype(np.uint32),
+                                       (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    words, hash_const = [], _SS_INIT_B
+    for i in range(8):  # generate_state(4, np.uint64): little-endian pairs of 32-bit words
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _SS_MULT_B & _M32
+        value = value * hash_const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    hi, lo = _lcg_step(np.zeros_like(seeds), np.zeros_like(seeds), inc_hi, inc_lo)
+    lo = lo + init_lo
+    hi, lo = _lcg_step(hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
+    raw = np.empty((len(seeds), m), np.uint64)
+    for j in range(m):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        raw[:, j] = x >> rot | x << ((64 - rot) & 63)
+    return raw
 
 
 def read_batch(world: SyntheticWorld, pixels, noise_seeds,
@@ -309,23 +378,25 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     values = lo + means * (hi - lo)
     labels = {a.name: index[:, i] if a.is_discrete else values[:, i] for i, a in enumerate(attrs)}
     p = world.config.label_noise if label_noise is None else float(label_noise)
-    discrete = [a for a in attrs if a.is_discrete]
-    if p <= 0.0 or not discrete:
+    if p <= 0.0:
         return labels
-    # default_rng(seed).random() is (next_uint64 >> 11) * 2**-53, so an image's draws are its
-    # raw PCG64 outputs, one per discrete attribute, until a multiclass label resamples
-    raw = np.array([np.random.PCG64(seed).random_raw(len(discrete)) for seed in noise_seeds],
-                   dtype=np.uint64).reshape(n, len(discrete))
-    flips = (raw >> 11) * 2.0**-53 < p
-    # integers() then draws buffered 32-bit halves, so those rows are replayed one draw at a time
-    replay = flips[:, [a.kind == MULTICLASS for a in discrete]].any(axis=1)
-    for a, flip in zip(discrete, flips.T):
-        if a.kind != MULTICLASS:
-            rows = flip & ~replay
-            labels[a.name][rows] = 1 - labels[a.name][rows]
     # per discrete attribute: its label column and how many other classes a resample draws from
-    noisy = [(labels[a.name], len(a.classes) - 1 if a.kind == MULTICLASS else 0) for a in discrete]
-    for row in np.flatnonzero(replay):
+    noisy = [(labels[a.name], len(a.classes) - 1 if a.kind == MULTICLASS else 0)
+             for a in attrs if a.is_discrete]
+    rows = range(n)
+    seeds = np.asarray(noise_seeds)
+    if n >= NOISE_BATCH and seeds.dtype.kind in "iu" and (seeds >= 0).all():
+        # default_rng(seed).random() is (next_uint64 >> 11) * 2**-53, below p exactly when
+        # next_uint64 >> 11 < p * 2**53, so an image's draws are its raw PCG64 outputs, one per
+        # discrete attribute, until a multiclass label resamples: integers() then draws buffered
+        # 32-bit halves, so only the rows with a multiclass flip are replayed
+        flips = _pcg64_raw(seeds.astype(np.uint64), len(noisy)) >> 11 < p * 2.0**53
+        resampled = flips @ np.array([others > 0 for _, others in noisy], dtype=bool)
+        for (column, others), flip in zip(noisy, flips.T):
+            if not others:
+                column ^= flip & ~resampled  # a binary label is 0 or 1
+        rows = np.flatnonzero(resampled).tolist()
+    for row in rows:
         rng = np.random.default_rng(noise_seeds[row])
         for column, others in noisy:
             if rng.random() < p:
@@ -336,7 +407,7 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
 
 def generate_image(world: SyntheticWorld, z) -> SyntheticImage:
     """Render one latent: `render_batch` on a batch of one."""
-    return SyntheticImage(render_batch(world, np.asarray(z, dtype=np.float64)[None])[0])
+    return SyntheticImage(_render(world, np.asarray(z, dtype=np.float64)[None], True)[0])
 
 
 def oracle_label(world: SyntheticWorld, image: SyntheticImage, noise_seed: int,

@@ -19,7 +19,7 @@ from latentsteer import (
     sample_latents,
 )
 from latentsteer.pipeline import ROW_BLOCK
-from latentsteer.world import BLOCK_SIZE, _render_attributes, direction_slots
+from latentsteer.world import BLOCK_SIZE, NOISE_BATCH, _pcg64_raw, _render, direction_slots
 
 
 def simple_config(**overrides):
@@ -355,6 +355,26 @@ def test_noisy_read_matches_scalar_reference_on_every_row(positions, p):
         assert resampled[:300].any() and resampled[300:].any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40), st.integers(0, 5))
+def test_array_seeding_equals_numpys_pcg64(seeds, m):
+    seeds += [0, 1, 2**32 - 1, 2**32, 2**62, 2**63, 2**64 - 1]
+    expected = [np.random.PCG64(seed).random_raw(m) for seed in seeds]
+    raw = _pcg64_raw(np.array(seeds, dtype=np.uint64), m)
+    assert raw.dtype == np.uint64 and raw.tobytes() == np.array(expected, dtype=np.uint64).tobytes()
+
+
+def test_noisy_batch_with_seeds_beyond_uint64_reads_like_single_images():
+    world = _world_with_multiclass_at((2,), 0.3)
+    Z = sample_latents(NOISE_BATCH + 8, world.latent_dim, 4)
+    seeds = [2**64 + 7 * i for i in range(len(Z))]  # no uint64 array holds these
+    labels = read_batch(world, render_batch(world, Z), seeds)
+    for i, z in enumerate(Z):
+        one = oracle_label(world, generate_image(world, z), seeds[i])
+        assert all(a.classes[labels[a.name][i]] == one.discrete[a.name]
+                   for a in world.config.attributes if a.is_discrete)
+
+
 def test_read_rejects_a_noise_seed_count_unlike_the_image_count():
     world = build_world(simple_config(label_noise=0.3))
     pixels = render_batch(world, sample_latents(4, world.latent_dim, 0))
@@ -368,7 +388,7 @@ def test_labelling_render_leaves_only_the_texture_out():
     world = _world_with_multiclass_at((2,), 0.3)
     Z = sample_latents(300, world.latent_dim, 1)
     seeds = np.arange(300)
-    full, bare = render_batch(world, Z), _render_attributes(world, Z)
+    full, bare = render_batch(world, Z), _render(world, Z, texture=False)
     assert (bare[:, :, -BLOCK_SIZE:] == 0.0).all()
     assert bare[:, :, :-BLOCK_SIZE].tobytes() == full[:, :, :-BLOCK_SIZE].tobytes()
     for name, column in read_batch(world, bare, seeds).items():
