@@ -277,17 +277,19 @@ def _split(n: int, cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
 def _min_norm_solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The minimum-norm x with H x = r for a symmetric positive semi-definite H.
 
-    np.linalg.solve where a Cholesky factor shows H safely positive definite:
-    every squared pivot bounds the smallest eigenvalue from above, so one at
-    rounding level (or a failed factor) marks a flat direction, which lstsq
-    leaves out of the solution.
+    lstsq drops the singular values below len(r) * eps times the largest.
+    The Frobenius norms bound H's largest singular value from above by |H|
+    and its smallest from below by 1 / |H^-1|, so where |H| |H^-1| is below
+    1 / (len(r) * eps) lstsq drops none and its solution is H^-1 r. Anywhere
+    else (a singular or nearly singular H) the solution is lstsq's.
     """
     try:
-        pivots = np.diagonal(np.linalg.cholesky(H)) ** 2
-        if pivots.min() > len(r) * np.finfo(np.float64).eps * np.diagonal(H).max():
-            return np.linalg.solve(H, r)
+        inverse = np.linalg.inv(H)
     except np.linalg.LinAlgError:
         pass
+    else:  # a non-finite inverse fails the test
+        if np.linalg.norm(H) * np.linalg.norm(inverse) * len(r) * np.finfo(np.float64).eps < 1.0:
+            return inverse @ r
     return np.linalg.lstsq(H, r, rcond=None)[0]
 
 
@@ -304,9 +306,9 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     is an eigenvector of H (eigenvalue 0 for the intercept, l2 for a weight)
     that grad is orthogonal to. Adding u_i u_i^T, i.e. 1/k on every
     (class a, class c, same coordinate) entry, makes H invertible without
-    changing the step, so np.linalg.solve returns the step lstsq would. Where
-    H is still singular (a dead or collinear latent column at l2 = 0) the
-    step is lstsq's (see _min_norm_solve).
+    changing the step, so H^-1 grad is the step lstsq would take. Where H is
+    still singular or nearly so (a dead or (nearly) collinear latent column
+    at l2 = 0) the step is lstsq's (see _min_norm_solve).
 
     With x~ = [x, 1], block (a, c) of the Hessian's data part is
     sum_i s_ac(i) x~_i x~_i^T / n, where s_ac = P_a (delta_ac - P_c). The

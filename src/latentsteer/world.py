@@ -46,10 +46,6 @@ BLOCK_SIZE = 8
 PROFILE_LINEAR = "linear"
 PROFILE_SIGMOID = "sigmoid"
 
-# from this many noisy images on, seeding their generators in array operations (_pcg64_raw)
-# beats building one generator per image
-NOISE_BATCH = 32
-
 
 @dataclass(frozen=True)
 class WorldConfig:
@@ -385,7 +381,7 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
              for a in attrs if a.is_discrete]
     rows = range(n)
     seeds = np.asarray(noise_seeds)
-    if n >= NOISE_BATCH and seeds.dtype.kind in "iu" and (seeds >= 0).all():
+    if seeds.dtype.kind in "iu" and (seeds >= 0).all():
         # default_rng(seed).random() is (next_uint64 >> 11) * 2**-53, below p exactly when
         # next_uint64 >> 11 < p * 2**53, so an image's draws are its raw PCG64 outputs, one per
         # discrete attribute, until a multiclass label resamples: integers() then draws buffered

@@ -356,12 +356,19 @@ def test_default_fits_are_stationary_points():
         assert 1 <= meta.epochs_run < 50
 
 
-@pytest.mark.parametrize("column", ["dead", "duplicate"])
+@pytest.mark.parametrize("column", ["dead", "duplicate", "near-duplicate"])
 def test_unpenalized_fit_with_a_degenerate_column_takes_the_minimum_norm_steps(column):
-    # at l2 = 0 a zero or repeated column leaves H singular beyond the shared class shifts
+    # at l2 = 0 a zero, repeated or nearly repeated column leaves H singular or nearly so
+    # beyond the shared class shifts
     Z, classes, positive = noisy_linear_labels(n=1000, dim=6)
     Z = Z.copy()
-    Z[:, 2] = 0.0 if column == "dead" else Z[:, 1]
+    if column == "dead":
+        Z[:, 2] = 0.0
+    elif column == "duplicate":
+        Z[:, 2] = Z[:, 1]
+    else:  # the near-null direction ends on a column with a small coefficient
+        noise = np.random.default_rng(5).standard_normal(len(Z))
+        Z[:, 2] = Z[:, 1] + 1e-2 * Z[:, 5] + 1e-9 * noise
     cfg = TrainingConfig(l2_penalty=0.0)
     binary = fit_binary(Z, ["pos" if p else "neg" for p in positive], cfg, positive_class="pos")
     multi = fit_multiclass(Z, classes, cfg)
@@ -371,8 +378,16 @@ def test_unpenalized_fit_with_a_degenerate_column_takes_the_minimum_norm_steps(c
         assert np.abs(W[:, [0, 1, 3]]).min() > 1e-3  # the live columns are used
         if column == "dead":
             assert np.abs(W[:, 2]).max() < 1e-12
-        else:  # the minimum-norm weights split evenly between the two copies
+        elif column == "duplicate":  # the minimum-norm weights split evenly between the copies
             assert np.abs(W[:, 2] - W[:, 1]).max() < 1e-9 * np.abs(W).max()
+    names = sorted(set(classes))
+    for Y in (np.eye(2)[positive.astype(int)], np.eye(3)[[names.index(c) for c in classes]]):
+        for max_iter in (1, 100):  # the first step alone, and the whole fit
+            W, b, _, _, steps = _newton(Z, Y, 0.0, max_iter)
+            W_ref, b_ref, _, _, steps_ref = _reference_newton(Z, Y, 0.0, max_iter)
+            assert steps == steps_ref
+            assert np.abs(W - W_ref).max() <= 1e-10 * np.abs(W_ref).max()
+            assert np.abs(b - b_ref).max() <= 1e-10 * np.abs(b_ref).max()
 
 
 def test_unpenalized_fit_on_separable_data_stays_finite():

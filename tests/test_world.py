@@ -19,7 +19,7 @@ from latentsteer import (
     sample_latents,
 )
 from latentsteer.pipeline import ROW_BLOCK
-from latentsteer.world import BLOCK_SIZE, NOISE_BATCH, _pcg64_raw, _render, direction_slots
+from latentsteer.world import BLOCK_SIZE, _pcg64_raw, _render, direction_slots
 
 
 def simple_config(**overrides):
@@ -366,7 +366,7 @@ def test_array_seeding_equals_numpys_pcg64(seeds, m):
 
 def test_noisy_batch_with_seeds_beyond_uint64_reads_like_single_images():
     world = _world_with_multiclass_at((2,), 0.3)
-    Z = sample_latents(NOISE_BATCH + 8, world.latent_dim, 4)
+    Z = sample_latents(40, world.latent_dim, 4)
     seeds = [2**64 + 7 * i for i in range(len(Z))]  # no uint64 array holds these
     labels = read_batch(world, render_batch(world, Z), seeds)
     for i, z in enumerate(Z):
