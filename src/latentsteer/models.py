@@ -277,20 +277,23 @@ def _split(n: int, cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
 def _min_norm_solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The minimum-norm x with H x = r for a symmetric positive semi-definite H.
 
-    lstsq drops the singular values below len(r) * eps times the largest.
-    The Frobenius norms bound H's largest singular value from above by |H|
-    and its smallest from below by 1 / |H^-1|, so where |H| |H^-1| is below
-    1 / (len(r) * eps) lstsq drops none and its solution is H^-1 r. Anywhere
-    else (a singular or nearly singular H) the solution is lstsq's.
+    lstsq drops the singular values below len(r) * eps times the largest,
+    which is at most |H| (Frobenius). Where H - tau I has a Cholesky factor,
+    every eigenvalue of H exceeds tau less the factor's rounding error (at
+    most about len(r)**2 * eps * |H|). So with tau = 2 len(r)**2 eps |H|,
+    lstsq drops none there and its solution is np.linalg.solve's; anywhere
+    else (a singular or nearly singular H) it is lstsq's. The shift is made
+    on H's diagonal in place and undone before the solve.
     """
+    diagonal = np.diagonal(H).copy()
+    np.einsum("ii->i", H)[...] -= 2 * len(r) ** 2 * np.finfo(np.float64).eps * np.linalg.norm(H)
     try:
-        inverse = np.linalg.inv(H)
+        np.linalg.cholesky(H)
+        definite = True
     except np.linalg.LinAlgError:
-        pass
-    else:  # a non-finite inverse fails the test
-        if np.linalg.norm(H) * np.linalg.norm(inverse) * len(r) * np.finfo(np.float64).eps < 1.0:
-            return inverse @ r
-    return np.linalg.lstsq(H, r, rcond=None)[0]
+        definite = False
+    np.einsum("ii->i", H)[...] = diagonal
+    return np.linalg.solve(H, r) if definite else np.linalg.lstsq(H, r, rcond=None)[0]
 
 
 def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
@@ -306,8 +309,8 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     is an eigenvector of H (eigenvalue 0 for the intercept, l2 for a weight)
     that grad is orthogonal to. Adding u_i u_i^T, i.e. 1/k on every
     (class a, class c, same coordinate) entry, makes H invertible without
-    changing the step, so H^-1 grad is the step lstsq would take. Where H is
-    still singular or nearly so (a dead or (nearly) collinear latent column
+    changing the step, so np.linalg.solve returns the step lstsq would. Where
+    H is still singular or nearly so (a dead or (nearly) collinear latent column
     at l2 = 0) the step is lstsq's (see _min_norm_solve).
 
     With x~ = [x, 1], block (a, c) of the Hessian's data part is
