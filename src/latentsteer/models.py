@@ -310,8 +310,8 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     that grad is orthogonal to. Adding u_i u_i^T, i.e. 1/k on every
     (class a, class c, same coordinate) entry, makes H invertible without
     changing the step, so np.linalg.solve returns the step lstsq would. Where
-    H is still singular or nearly so (a dead or (nearly) collinear latent column
-    at l2 = 0) the step is lstsq's (see _min_norm_solve).
+    H is still singular or nearly so (a dead, collinear or nearly collinear
+    latent column at l2 = 0) the step is lstsq's (see _min_norm_solve).
 
     With x~ = [x, 1], block (a, c) of the Hessian's data part is
     sum_i s_ac(i) x~_i x~_i^T / n, where s_ac = P_a (delta_ac - P_c). The
