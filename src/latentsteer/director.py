@@ -268,6 +268,16 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
     return z_work - Z, count
 
 
+def _latent_rows(Z, m: CompiledBundle) -> np.ndarray:
+    """Z as a float64 (n, dim) array, checked finite and of the bundle's dim."""
+    Z = np.array(Z, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] < 2 or not np.isfinite(Z).all():
+        raise ValueError(f"latents must be a finite (n, dim) array with dim >= 2, got shape {Z.shape}")
+    if m.dim is not None and Z.shape[1] != m.dim:
+        raise DimensionMismatchError(m.dim, Z.shape[1], what="latent vector")
+    return Z
+
+
 def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
                     cfg: DirectorConfig = DirectorConfig()) -> BatchUpdate:
     """Apply one combined conditioning step to every row of Z, row i toward specs[i].
@@ -280,35 +290,35 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
     every row is steered as it would be alone.
     """
     m = bundle.compiled
-    Z = np.array(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] < 2 or not np.isfinite(Z).all():
-        raise ValueError(f"latents must be a finite (n, dim) array with dim >= 2, got shape {Z.shape}")
-    if m.dim is not None and Z.shape[1] != m.dim:
-        raise DimensionMismatchError(m.dim, Z.shape[1], what="latent vector")
+    Z = _latent_rows(Z, m)
     if len(specs) != len(Z):
         raise ValueError(f"{len(Z)} latents but {len(specs)} conditioning specs")
     for spec in specs:
         _validate_spec(spec, bundle.schema)
+    targets = [np.array([sp.continuous.get(name, np.nan) for sp in specs]) if kind == CONTINUOUS
+               else np.array([classes.index(sp.discrete[name]) if name in sp.discrete else -1
+                              for sp in specs], dtype=np.intp)
+               for name, kind, _, classes in m.blocks]
+    return _condition_rows(m, Z, tuple(targets), cfg)
 
+
+def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray, ...],
+                    cfg: DirectorConfig) -> BatchUpdate:
+    """`condition_batch` on checked latents and per-block targets, as `BatchUpdate.targets` holds them."""
     n = len(Z)
     S = _scores(m, Z)
     coef = np.zeros_like(S)       # step length along each compiled unit row
     redirects = np.zeros_like(Z)  # summed multiclass moves
     moved = np.zeros(n, dtype=bool)
-    targets = []
     mismatch: dict[str, np.ndarray] = {}
     mc_moves: dict[str, np.ndarray] = {}
-    for name, kind, rows, classes in m.blocks:
-        # the attribute's targets, then `go`: the rows it moves
+    for (name, kind, rows, classes), target in zip(m.blocks, targets):
+        # `go`: the rows the attribute moves
         r = rows.start
         if kind == CONTINUOUS:
-            target = np.array([sp.continuous.get(name, np.nan) for sp in specs])
             go = ~np.isnan(target)
         else:
-            target = np.array([classes.index(sp.discrete[name]) if name in sp.discrete else -1
-                               for sp in specs], dtype=np.intp)
             go = mismatch[name] = (target >= 0) & (target != decide(kind, S[:, rows]))
-        targets.append(target)
         if kind == BINARY and m.norms[r] == 0.0:
             raise DegenerateModelError("hyperplane direction has zero norm")
         if kind == MULTICLASS:
@@ -344,7 +354,7 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
     if moved.any():
         # only moved rows get an update: adding a zero update would turn -0.0 into 0.0
         Z_prime[moved] += np.einsum("nr,rd->nd", coef[moved], m.units) + redirects[moved]
-    return BatchUpdate(m, tuple(targets), Z_prime, moved, S, _scores(m, Z_prime), mismatch, mc_moves)
+    return BatchUpdate(m, targets, Z_prime, moved, S, _scores(m, Z_prime), mismatch, mc_moves)
 
 
 def condition(z, spec: ConditioningSpec, bundle: ModelBundle,

@@ -10,10 +10,11 @@ Rendering is a strip of 8x8 blocks, one per attribute plus one texture
 block: each attribute's value is encoded as its block's mean (discrete ones
 by the models' tie rule), and an oracle reads the blocks back into labels
 (optionally flipping discrete labels with a configured noise probability).
-Both work on batches (`render_batch`, `read_batch`); `generate_image` and
-`oracle_label`, each a batch of one, judge eval trials one at a time. The
-texture block hashes the latent's bytes and is rendered only where an image
-is returned: the oracle never reads it, so training labels skip it.
+Both work on batches (`render_batch`, `read_batch`), and `generate_image`
+and `oracle_label` are each a batch of one. Training labels and the
+end-to-end eval's judge read whole blocks of latents. The texture block
+hashes the latent's bytes and is rendered only where an image is returned:
+the oracle never reads it, so labelling skips it.
 """
 
 from __future__ import annotations

@@ -1,23 +1,35 @@
 """Training loop, evaluation harness, cosine reports, entanglement sweep."""
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentsteer import (
     AttributeSchema,
+    ConditioningSpec,
     DirectorConfig,
     EvalConfig,
     SweepConfig,
     TrainingConfig,
     WorldConfig,
     build_world,
+    condition,
     cosine_report,
     eval_end_to_end,
     eval_latent_modification,
+    generate_image,
     ground_truth_bundle,
+    latent_labels,
+    oracle_label,
     run_training,
     sweep_entanglement,
 )
+from latentsteer.errors import WorldConfigError
+from latentsteer.models import LatentModel, ModelBundle
 from latentsteer.pipeline import EvalReport
 
 
@@ -92,6 +104,109 @@ def test_eval_reports_are_deterministic():
     a = eval_latent_modification(bundle, world, 200, EvalConfig(seed=13))
     b = eval_latent_modification(bundle, world, 200, EvalConfig(seed=13))
     assert a == b
+
+
+def _random_spec(schema, rng):
+    """One target per attribute: uniform class, or uniform over the middle 80% of the range."""
+    discrete, continuous = {}, {}
+    for attr in schema:
+        if attr.is_discrete:
+            discrete[attr.name] = attr.classes[int(rng.integers(len(attr.classes)))]
+        else:
+            pad = 0.1 * (attr.hi - attr.lo)
+            continuous[attr.name] = float(rng.uniform(attr.lo + pad, attr.hi - pad))
+    return ConditioningSpec(discrete, continuous)
+
+
+def _reference_eval(bundle, world, trials, cfg, mode):
+    """The eval one trial at a time: its own draw, `condition` per round, one judge call."""
+    hits = {a.name: 0 for a in bundle.schema if a.is_discrete}
+    sq_err = {a.name: 0.0 for a in bundle.schema if not a.is_discrete}
+    joint_hits = 0
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, t)))
+        z = rng.standard_normal(bundle.latent_dim)
+        spec = _random_spec(bundle.schema, rng)
+        for _ in range(cfg.rounds):
+            report = condition(z, spec, bundle, cfg.director)
+            z, after = report.z_prime, report.labels_after
+            if (all(after.discrete[k] == v for k, v in spec.discrete.items())
+                    and all(abs(after.continuous[k] - v) <= 1e-9 for k, v in spec.continuous.items())):
+                break
+        outcome = (latent_labels(bundle, z) if mode == "latent"
+                   else oracle_label(world, generate_image(world, z), 0, label_noise=0.0))
+        ok = [outcome.discrete[k] == v for k, v in spec.discrete.items()]
+        for (k, _), hit in zip(spec.discrete.items(), ok):
+            hits[k] += hit
+        for k, v in spec.continuous.items():
+            d = outcome.continuous[k] - v
+            sq_err[k] += d * d
+        joint_hits += all(ok)
+    return EvalReport(mode, trials, cfg.seed, {k: h / trials for k, h in hits.items()},
+                      {k: float(np.sqrt(s / trials)) for k, s in sq_err.items()},
+                      joint_hits / trials if hits else None)
+
+
+SCHEMAS = {
+    "discrete": (AttributeSchema.binary("style", "tee", "dress"),
+                 AttributeSchema.multiclass("hair", ("black", "brown", "blond"))),
+    "continuous": (AttributeSchema.continuous("level", -2.0, 3.0),
+                   AttributeSchema.continuous("tone", 0.0, 1.0)),
+    "mixed": (AttributeSchema.binary("style", "tee", "dress"),
+              AttributeSchema.continuous("level", -2.0, 3.0),
+              AttributeSchema.multiclass("hair", ("black", "brown", "blond"))),
+}
+
+
+@functools.cache
+def _entangled_case(kind):
+    """An entangled world and a bundle that misreads it a little, its classes in another order."""
+    attrs = SCHEMAS[kind]
+    slots = sum(len(a.classes) if a.kind == "multiclass" else 1 for a in attrs)
+    ent = 0.4 * np.eye(slots) + 0.6
+    world = build_world(WorldConfig(dim=8, attributes=attrs, entanglement=ent, seed=21))
+    truth = ground_truth_bundle(world)
+    rng = np.random.default_rng(22)
+    models = {}
+    for attr in attrs:
+        m = truth.models[attr.name]
+        order = rng.permutation(len(m.weights)) if attr.kind == "multiclass" else slice(None)
+        models[attr.name] = LatentModel(
+            m.kind, m.weights[order] + 0.1 * rng.standard_normal(m.weights.shape),
+            m.intercepts[order] + 0.1 * rng.standard_normal(len(m.intercepts)),
+            tuple(np.array(m.classes)[order]) if attr.kind == "multiclass" else m.classes)
+    return world, ModelBundle(attrs, models)
+
+
+@pytest.mark.parametrize("kind", list(SCHEMAS))
+@settings(max_examples=15, deadline=None)
+@given(trials=st.sampled_from([1, 255, 256, 257]), rounds=st.integers(1, 3),
+       sign=st.sampled_from(["corrected", "paper_literal"]),
+       calibration=st.sampled_from(["calibrated", "paper_literal"]), seed=st.integers(0, 2**32))
+def test_batched_evals_equal_the_per_trial_loop(kind, trials, rounds, sign, calibration, seed):
+    world, bundle = _entangled_case(kind)
+    cfg = EvalConfig(seed=seed, rounds=rounds,
+                     director=DirectorConfig(sign_convention=sign, continuous_calibration=calibration))
+    for mode, evaluate in (("latent", eval_latent_modification), ("end2end", eval_end_to_end)):
+        report = evaluate(bundle, world, trials, cfg)
+        expected = _reference_eval(bundle, world, trials, cfg, mode)
+        assert repr(report) == repr(expected)
+        assert report.csv_text() == expected.csv_text()
+    assert (report.rmse == {}) == (kind == "discrete")
+    assert (report.joint_discrete_accuracy is None) == (kind == "continuous")
+
+
+def test_end_to_end_eval_rejects_a_world_that_does_not_show_the_bundle_attributes():
+    world = orthogonal_world(seed=7)
+    bundle = ground_truth_bundle(world)
+    other = build_world(WorldConfig(dim=32, seed=7, attributes=(
+        AttributeSchema.binary("style", "tee", "dress"),
+        AttributeSchema.binary("level", "low", "high"),
+        AttributeSchema.binary("pose", "back", "front"))))
+    for shown in (other, build_world(replace(other.config, attributes=other.config.attributes[:1]))):
+        with pytest.raises(WorldConfigError, match="'level'|'pose'"):
+            eval_end_to_end(bundle, shown, 10)
+    assert eval_latent_modification(bundle, other, 10).accuracy == {"style": 1.0, "pose": 1.0}
 
 
 def test_eval_paper_literal_accuracy_near_chance():

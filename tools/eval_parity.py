@@ -14,18 +14,24 @@ training seed 3:
   continuous_calibration pairs at seed 1, for both evals;
 - run_training at N=10,000, capped at 1,000 Newton steps: per model the
   held-out metric, iterations, final loss, max |grad|, weights and
-  intercepts.
+  intercepts;
+- the CLI's output: the text and the `--out-csv` file of `eval --mode
+  latent|end2end` on the N=2,000 bundle (seed 1, rounds 1 and 3), and the
+  text and CSV of a small `sweep`.
 
-The output holds both revisions' figures (weights left out) and their
-comparison: the report fields that differ by repr, the largest relative
-RMSE difference, and per model whether the held-out metric is equal by
-repr and the largest relative weight and intercept differences. Uses the
-standard library and numpy, and changes nothing under bench/.
+The output holds both revisions' figures (weights and CLI output left out)
+and their comparison: the report fields that differ by repr, the largest
+relative RMSE difference, per model whether the held-out metric is equal by
+repr and the largest relative weight and intercept differences, and the CLI
+outputs that differ byte for byte. Uses the standard library and numpy, and
+changes nothing under bench/.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -75,7 +81,44 @@ def measure(tree: Path) -> dict:
                           "grad_norm": _number(meta.grad_norm),
                           "weights": model.weights.tolist(),
                           "intercepts": model.intercepts.tolist()}
-    return {"reports": reports, "training": training}
+    return {"reports": reports, "training": training, "cli": cli_outputs(world, bundle)}
+
+
+def cli_outputs(world, bundle) -> dict:
+    """Standard output and written CSV of CLI evals and a sweep, run in a scratch directory.
+
+    The files are named relative to it, so the text that names them is the
+    same on every run.
+    """
+    from latentsteer import cli, persist
+
+    def run(*argv) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        return f"exit {code}\n{out.getvalue()}"
+
+    outputs = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="eval-parity-cli-") as tmp:
+        os.chdir(tmp)
+        try:
+            persist.save_world(world, "world.json")
+            persist.save_bundle(bundle, "bundle.json")
+            for mode in ("latent", "end2end"):
+                for rounds in ("1", "3"):
+                    name = f"eval --mode {mode} --rounds {rounds}"
+                    outputs[name] = run("eval", "--bundle", "bundle.json", "--world", "world.json",
+                                        "--mode", mode, "--trials", "2000", "--seed", "1",
+                                        "--rounds", rounds, "--out-csv", "eval.csv")
+                    outputs[f"{name} csv"] = Path("eval.csv").read_text(encoding="utf-8")
+            name = "sweep --cos 0,0.57,0.9"
+            outputs[name] = run("sweep", "--cos", "0,0.57,0.9", "--trials", "500", "--n", "1000",
+                                "--dim", "16", "--seed", "4", "--out", "sweep.csv")
+            outputs[f"{name} csv"] = Path("sweep.csv").read_text(encoding="utf-8")
+        finally:
+            os.chdir(cwd)
+    return outputs
 
 
 def _relative(base, head) -> float:
@@ -107,14 +150,16 @@ def compare(base: dict, head: dict) -> dict:
                           "weights_rel_diff": _relative(b["weights"], h["weights"]),
                           "intercepts_rel_diff": _relative(b["intercepts"], h["intercepts"])}
     accuracies_equal = not any({"accuracy", "joint", "missing"} & set(f) for f in differing.values())
+    cli_differing = [name for name, text in base["cli"].items() if head["cli"].get(name) != text]
     return {"reports": len(base["reports"]), "accuracies_equal": accuracies_equal,
-            "reports_differing": differing, "rmse_max_rel_diff": rmse_rel, "training": training}
+            "reports_differing": differing, "rmse_max_rel_diff": rmse_rel, "training": training,
+            "cli_outputs": len(base["cli"]), "cli_differing": cli_differing}
 
 
 def _without_weights(figures: dict) -> dict:
     training = {name: {k: v for k, v in fit.items() if k not in ("weights", "intercepts")}
                 for name, fit in figures["training"].items()}
-    return {"reports": figures["reports"], "training": training}
+    return {"reports": figures["reports"], "training": training, "cli": sorted(figures["cli"])}
 
 
 def main(argv=None) -> int:
