@@ -226,11 +226,6 @@ def _steer(Z: np.ndarray, targets: tuple[np.ndarray, ...], m: CompiledBundle,
     return Z, S
 
 
-# a judge reads a block of steered latents and their compiled scores into, per attribute, the
-# class index in its compiled block's class order (-1: a class the block does not name) or the value
-Judge = Callable[[np.ndarray, np.ndarray], Mapping[str, np.ndarray]]
-
-
 def _block_readout(m: CompiledBundle, labels: AttributeLabels) -> dict:
     """One row's labels as a judge reads them."""
     return {name: (classes.index(labels.discrete[name]) if labels.discrete[name] in classes else -1)
@@ -246,8 +241,16 @@ def _check_eval(bundle: ModelBundle, world: SyntheticWorld, trials: int) -> None
         )
 
 
-def _run_trials(bundle: ModelBundle, trials: int, cfg: EvalConfig, judge: Judge,
+def _run_trials(bundle: ModelBundle, trials: int, cfg: EvalConfig,
+                judge: Callable[[np.ndarray, np.ndarray], Mapping[str, np.ndarray]],
                 judge_one: Callable[[np.ndarray], AttributeLabels], mode: str) -> EvalReport:
+    """Draw, steer and judge the trials a block at a time.
+
+    judge reads a block of steered latents and their compiled scores into,
+    per attribute, the class index in its compiled block's class order (-1:
+    a class the block does not name) or the value. judge_one is the public
+    judge of one latent.
+    """
     m = bundle.compiled
     # per block: the compiled class index of each schema class, or None for a continuous one
     to_block = [np.array([classes.index(c) for c in a.classes], dtype=np.intp) if a.is_discrete
