@@ -41,8 +41,8 @@ from .models import (
     fit_multiclass,
     fit_regressor,
 )
-from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _render, build_world,
-                    generate_image, oracle_label, read_batch)
+from .world import (_M32, AttributeLabels, SyntheticWorld, WorldConfig, _label_latents,
+                    _pcg64_states, build_world, generate_image, oracle_label)
 
 __all__ = [
     "EvalConfig",
@@ -102,9 +102,8 @@ def run_training(world: SyntheticWorld, n_samples: int,
     # read only when the world's labels are noisy
     noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
 
-    # a block at a time, so only one block's pixels are alive at once; labels need no texture
-    blocks = [read_batch(world, _render(world, Z[s:s + ROW_BLOCK], texture=False),
-                         noise_seeds[s:s + ROW_BLOCK]) for s in range(0, n_samples, ROW_BLOCK)]
+    blocks = [_label_latents(world, Z[s:s + ROW_BLOCK], noise_seeds[s:s + ROW_BLOCK])
+              for s in range(0, n_samples, ROW_BLOCK)]
 
     models = {}
     metrics: dict[str, float] = {}
@@ -190,6 +189,35 @@ class EvalReport:
                           for name, metric, v in values])
 
 
+def _replay_targets(raw: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
+    """Targets from the raw PCG64 words that follow each row's latent, and the rows to redraw.
+
+    A continuous target is `uniform(lo, hi)`: lo + (hi - lo) * ((word >> 11) *
+    2**-53) of the next fresh word. A discrete one is `integers(k)`: Lemire's
+    method on a 32-bit half, (half * k) >> 32. The half is the low one of a
+    fresh word, and the next discrete draw takes that word's buffered high
+    half, across any continuous draws between. Lemire's method rejects a
+    leftover (half * k) mod 2**32 below (2**32 - k) mod k and draws again, so
+    such a row is flagged for its scalar draw.
+    """
+    T = np.empty((len(raw), len(ranges)))
+    redraw = np.zeros(len(raw), dtype=bool)
+    fresh, buffered = 0, None
+    for j, (k, lo, hi) in enumerate(ranges):
+        if not k:
+            T[:, j] = lo + (hi - lo) * ((raw[:, fresh] >> 11) * 2.0**-53)
+            fresh += 1
+            continue
+        if buffered is None:
+            half, buffered, fresh = raw[:, fresh] & _M32, fresh, fresh + 1
+        else:
+            half, buffered = raw[:, buffered] >> 32, None
+        scaled = half * k
+        T[:, j] = scaled >> 32
+        redraw |= (scaled & _M32) < (2**32 - k) % k
+    return T, redraw
+
+
 def _draw_trials(schema: Sequence[AttributeSchema], dim: int, seed: int, start: int,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """Latents (n, dim) and targets (n, attributes) of trials start, ..., start + n - 1.
@@ -201,7 +229,25 @@ def _draw_trials(schema: Sequence[AttributeSchema], dim: int, seed: int, start: 
     ranges = [(len(a.classes), 0.0, 0.0) if a.is_discrete
               else (0, a.lo + 0.1 * (a.hi - a.lo), a.hi - 0.1 * (a.hi - a.lo)) for a in schema]
     Z, T = np.empty((n, dim)), np.empty((n, len(schema)))
-    for i in range(n):
+    rows = range(n)
+    if (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64
+            and all(np.isfinite(hi - lo) for _, lo, hi in ranges)):
+        seed, t = int(seed), np.arange(start, start + n, dtype=np.uint64)
+        words = [np.full(n, seed & _M32, np.uint32)] + [np.full(n, seed >> 32, np.uint32)] * (seed > _M32)
+        hi, lo, inc_hi, inc_lo = (x.tolist() for x in _pcg64_states(
+            words + [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]))
+        discrete = sum(1 for k, _, _ in ranges if k)
+        raw = np.empty((n, len(ranges) - discrete + (discrete + 1) // 2), np.uint64)
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        for i in range(n):
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": hi[i] << 64 | lo[i], "inc": inc_hi[i] << 64 | inc_lo[i]}}
+            gen.standard_normal(out=Z[i])
+            raw[i] = bitgen.random_raw(raw.shape[1])
+        T, redraw = _replay_targets(raw, ranges)
+        rows = np.flatnonzero(redraw).tolist()
+    for i in rows:
         rng = np.random.default_rng(np.random.SeedSequence((seed, start + i)))
         Z[i] = rng.standard_normal(dim)
         T[i] = [rng.integers(k) if k else rng.uniform(lo, hi) for k, lo, hi in ranges]
@@ -321,8 +367,7 @@ def eval_end_to_end(bundle: ModelBundle, world: SyntheticWorld, trials: int,
                                        for c in attr.classes], dtype=np.intp)
 
     def judge(Z: np.ndarray, S: np.ndarray) -> dict[str, np.ndarray]:
-        labels = read_batch(world, _render(world, Z, texture=False), np.zeros(len(Z), np.intp),
-                            label_noise=0.0)
+        labels = _label_latents(world, Z, np.zeros(len(Z), np.intp), label_noise=0.0)
         return {name: to_block[name][labels[name]] if name in to_block else labels[name]
                 for name, _, _, _ in bundle.compiled.blocks}
 

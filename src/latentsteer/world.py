@@ -248,11 +248,8 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
     return SyntheticWorld(cfg, directions, intercepts, slots)
 
 
-def _render(world: SyntheticWorld, Z, texture: bool) -> np.ndarray:
-    """`render_batch`, whose texture block is left at zero unless texture is set.
-
-    The texture block is all that `read_batch` does not read.
-    """
+def _block_means(world: SyntheticWorld, Z) -> np.ndarray:
+    """(n, attributes): the value every pixel of each attribute block of `render_batch` holds."""
     Z = np.ascontiguousarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != world.latent_dim:
         raise DimensionMismatchError(world.latent_dim, Z.shape[-1], what="latent vector")
@@ -269,15 +266,7 @@ def _render(world: SyntheticWorld, Z, texture: bool) -> np.ndarray:
             np.divide(1.0, np.exp(-raw[:, 0]) + 1.0, means[:, i])
         else:
             means[:, i] = (np.clip(raw[:, 0], attr.lo, attr.hi) - attr.lo) / (attr.hi - attr.lo)
-    pixels = np.empty((len(Z), BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE))
-    pixels[:, :, :-1, :] = means[:, None, :, None]
-    if texture:
-        digests = b"".join([hashlib.shake_256(z).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
-        np.divide(np.frombuffer(digests, np.uint8).reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE), 255.0,
-                  pixels[:, :, -1, :])
-    else:
-        pixels[:, :, -1, :] = 0.0
-    return pixels.reshape(len(Z), BLOCK_SIZE, -1)
+    return means
 
 
 def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
@@ -286,7 +275,14 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
     One einsum scores a row the same way alone or in a batch, so row i is
     the render of Z[i] alone. The texture block hashes each latent's bytes.
     """
-    return _render(world, Z, texture=True)
+    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    means = _block_means(world, Z)
+    pixels = np.empty((len(Z), BLOCK_SIZE, means.shape[1] + 1, BLOCK_SIZE))
+    pixels[:, :, :-1, :] = means[:, None, :, None]
+    digests = b"".join([hashlib.shake_256(z).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
+    np.divide(np.frombuffer(digests, np.uint8).reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE), 255.0,
+              pixels[:, :, -1, :])
+    return pixels.reshape(len(Z), BLOCK_SIZE, -1)
 
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit multiplier (high and low halves)
@@ -305,13 +301,13 @@ def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (new_lo < inc_lo), new_lo
 
 
-def _pcg64_raw(seeds: np.ndarray, m: int) -> np.ndarray:
-    """(n, m): np.random.PCG64(seed).random_raw(m) for each of n uint64 seeds, in array operations.
+def _pcg64_states(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(state_hi, state_lo, inc_hi, inc_lo) of np.random.PCG64(SeedSequence(entropy)) per row.
 
-    SeedSequence(seed) hashes the seed's two 32-bit words, zero-padded to its
-    pool of four, mixes the pool and draws eight words from it. PCG64 seeds
-    its 128-bit LCG from those and outputs the high ^ low half of each next
-    state, rotated right by the state's top six bits. uint32 and uint64
+    words holds up to four uint32 arrays, row i's entropy words in order.
+    SeedSequence hashes its entropy words, zero-padded to its pool of four, so
+    trailing zero words change nothing; it mixes the pool and draws eight
+    words from it. PCG64 seeds its 128-bit LCG from those. uint32 and uint64
     arrays wrap as the C code does.
     """
     hash_const = _SS_INIT_A
@@ -323,25 +319,36 @@ def _pcg64_raw(seeds: np.ndarray, m: int) -> np.ndarray:
         value = value * hash_const
         return value ^ value >> 16
 
-    zero = np.zeros(len(seeds), np.uint32)
-    pool = [hashmix(word) for word in ((seeds & _M32).astype(np.uint32),
-                                       (seeds >> 32).astype(np.uint32), zero, zero)]
+    zero = np.zeros_like(words[0])
+    pool = [hashmix(word) for word in [*words, *[zero] * (4 - len(words))]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * hashmix(pool[src])
                 pool[dst] = mixed ^ mixed >> 16
-    words, hash_const = [], _SS_INIT_B
+    state, hash_const = [], _SS_INIT_B
     for i in range(8):  # generate_state(4, np.uint64): little-endian pairs of 32-bit words
         value = pool[i % 4] ^ hash_const
         hash_const = hash_const * _SS_MULT_B & _M32
         value = value * hash_const
-        words.append((value ^ value >> 16).astype(np.uint64))
-    init_hi, init_lo, seq_hi, seq_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+        state.append((value ^ value >> 16).astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    hi, lo = _lcg_step(np.zeros_like(seeds), np.zeros_like(seeds), inc_hi, inc_lo)
+    hi, lo = _lcg_step(np.zeros_like(inc_hi), np.zeros_like(inc_lo), inc_hi, inc_lo)
     lo = lo + init_lo
     hi, lo = _lcg_step(hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _pcg64_raw(seeds: np.ndarray, m: int) -> np.ndarray:
+    """(n, m): np.random.PCG64(seed).random_raw(m) for each of n uint64 seeds, in array operations.
+
+    SeedSequence(seed) hashes the seed's two 32-bit words. Each output is
+    the high ^ low half of the LCG's next state, rotated right by the
+    state's top six bits.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_states([(seeds & _M32).astype(np.uint32),
+                                            (seeds >> 32).astype(np.uint32)])
     raw = np.empty((len(seeds), m), np.uint64)
     for j in range(m):
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
@@ -364,11 +371,19 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     n = len(pixels)
     if pixels.shape[1:] != (BLOCK_SIZE, BLOCK_SIZE * (len(attrs) + 1)):
         raise LayoutError(f"images of shape {pixels.shape[1:]} do not hold {len(attrs) + 1} blocks")
-    if len(noise_seeds) != n:
-        raise ValueError(f"{len(noise_seeds)} noise seeds for {n} images")
     # each block's pixels copied together, so its mean rounds the same in any batch
     blocks = pixels.reshape(n, BLOCK_SIZE, -1, BLOCK_SIZE)[:, :, :-1].transpose(0, 2, 1, 3)
-    means = blocks.reshape(n, len(attrs), -1).mean(axis=2)
+    return _read_means(world, blocks.reshape(n, len(attrs), -1).mean(axis=2), noise_seeds,
+                       label_noise)
+
+
+def _read_means(world: SyntheticWorld, means: np.ndarray, noise_seeds,
+                label_noise: float | None) -> dict[str, np.ndarray]:
+    """`read_batch` of images whose attribute blocks have the (n, attributes) means."""
+    attrs = world.config.attributes
+    n = len(means)
+    if len(noise_seeds) != n:
+        raise ValueError(f"{len(noise_seeds)} noise seeds for {n} images")
     # every block is read both ways, and each attribute keeps the reading of its kind
     lo, hi, k = np.array([(a.lo, a.hi, len(a.classes) - 1) for a in attrs]).T
     index = np.clip(np.rint(means * k), 0, k).astype(np.intp)
@@ -402,9 +417,21 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     return labels
 
 
+def _label_latents(world: SyntheticWorld, Z: np.ndarray, noise_seeds,
+                   label_noise: float | None = None) -> dict[str, np.ndarray]:
+    """read_batch(world, render_batch(world, Z), noise_seeds, label_noise), building no strips.
+
+    Each block's mean is taken over a broadcast view of 64 copies of its
+    value, which rounds as read_batch's mean of the rendered block does.
+    """
+    means = _block_means(world, Z)
+    reads = np.broadcast_to(means[..., None], (*means.shape, BLOCK_SIZE * BLOCK_SIZE)).mean(axis=2)
+    return _read_means(world, reads, noise_seeds, label_noise)
+
+
 def generate_image(world: SyntheticWorld, z) -> SyntheticImage:
     """Render one latent: `render_batch` on a batch of one."""
-    return SyntheticImage(_render(world, np.asarray(z, dtype=np.float64)[None], True)[0])
+    return SyntheticImage(render_batch(world, np.asarray(z, dtype=np.float64)[None])[0])
 
 
 def oracle_label(world: SyntheticWorld, image: SyntheticImage, noise_seed: int,

@@ -84,3 +84,21 @@ def test_cli_outputs_name_their_files_the_same_way_on_every_run():
     assert first["eval --mode latent --rounds 1"].startswith("exit 0\nevaluation: latent")
     assert "csv written to eval.csv" in first["eval --mode end2end --rounds 3"]
     assert first["sweep --cos 0,0.57,0.9 csv"].startswith("cosine,alpha_accuracy")
+
+
+def test_eval_reports_cover_seeds_beyond_one_and_two_words():
+    from latentsteer import EvalConfig, build_world, eval_end_to_end, ground_truth_bundle
+    from latentsteer.models import AttributeSchema
+    from latentsteer.world import WorldConfig
+
+    world = build_world(WorldConfig(dim=8, attributes=(AttributeSchema.binary("a", "n", "p"),
+                                                       AttributeSchema.continuous("v", 0.0, 1.0)),
+                                    seed=3))
+    bundle = ground_truth_bundle(world)
+    reports = eval_parity.eval_reports(world, bundle, 20)
+    assert len(reports) == 22
+    for seed in (2**32 + 1, 2**64 + 1):
+        report = eval_end_to_end(bundle, world, 20, EvalConfig(seed=seed))
+        assert reports[f"eval_end_to_end seed={seed} rounds=1 corrected/calibrated"] == {
+            "accuracy": report.accuracy, "joint": report.joint_discrete_accuracy,
+            "rmse": report.rmse}

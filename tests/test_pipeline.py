@@ -30,6 +30,7 @@ from latentsteer import (
 )
 from latentsteer.errors import WorldConfigError
 from latentsteer.models import LatentModel, ModelBundle
+from latentsteer import pipeline
 from latentsteer.pipeline import EvalReport
 
 
@@ -194,6 +195,96 @@ def test_batched_evals_equal_the_per_trial_loop(kind, trials, rounds, sign, cali
         assert report.csv_text() == expected.csv_text()
     assert (report.rmse == {}) == (kind == "discrete")
     assert (report.joint_discrete_accuracy is None) == (kind == "continuous")
+
+
+def _schema_of(kinds):
+    return [AttributeSchema.continuous(f"a{i}", -2.0 * i, 1.0 + i) if k == 0
+            else AttributeSchema.binary(f"a{i}", "n", "p") if k == 2
+            else AttributeSchema.multiclass(f"a{i}", [f"c{j}" for j in range(k)])
+            for i, k in enumerate(kinds)]
+
+
+def _reference_draw(schema, dim, seed, start, n):
+    """Latents and targets of trials start, ..., start + n - 1, each from its own generator."""
+    Z, T = np.empty((n, dim)), np.empty((n, len(schema)))
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, start + i)))
+        Z[i] = rng.standard_normal(dim)
+        spec = _random_spec(schema, rng)
+        T[i] = [a.classes.index(spec.discrete[a.name]) if a.is_discrete
+                else spec.continuous[a.name] for a in schema]
+    return Z, T
+
+
+INTERLEAVED = (0, 2, 0, 3, 2, 7)  # continuous, binary, continuous, multiclass(3), binary, multiclass(7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.one_of(st.just(INTERLEAVED), st.lists(st.sampled_from([0, 2, 3, 7]), min_size=1,
+                                                      max_size=7)),
+       seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**70]),
+                      st.integers(0, 2**64)),
+       start=st.one_of(st.integers(0, 600), st.integers(2**32 - 40, 2**32 + 40)),
+       n=st.integers(1, 40), dim=st.integers(1, 9))
+def test_array_seeded_draw_equals_a_generator_per_trial(kinds, seed, start, n, dim):
+    schema = _schema_of(kinds)
+    Z, T = pipeline._draw_trials(schema, dim, seed, start, n)
+    expected_Z, expected_T = _reference_draw(schema, dim, seed, start, n)
+    assert Z.tobytes() == expected_Z.tobytes() and T.tobytes() == expected_T.tobytes()
+
+
+def test_target_replay_equals_numpys_integers_and_uniform():
+    schema = _schema_of(INTERLEAVED)
+    ranges = [(len(a.classes), 0.0, 0.0) if a.is_discrete
+              else (0, a.lo + 0.1 * (a.hi - a.lo), a.hi - 0.1 * (a.hi - a.lo)) for a in schema]
+    raw, expected = np.empty((3000, 4), np.uint64), np.empty((3000, len(ranges)))
+    for i in range(len(raw)):
+        bitgen = np.random.PCG64(i)
+        rng = np.random.Generator(np.random.PCG64(i))
+        raw[i] = bitgen.random_raw(4)
+        expected[i] = [rng.integers(k) if k else rng.uniform(lo, hi) for k, lo, hi in ranges]
+        assert rng.bit_generator.state["state"] == bitgen.state["state"]  # no word unread
+    T, redraw = pipeline._replay_targets(raw, ranges)
+    assert not redraw.any() and T.tobytes() == expected.tobytes()
+
+
+def test_a_rejected_lemire_draw_goes_to_the_scalar_draw():
+    # Lemire's method on k classes rejects a leftover (half * k) mod 2**32 below
+    # (2**32 - k) mod k: 4 for k = 7, 1 for k = 3 and 0 for k = 2. The draws take the low
+    # and high halves of word 0, then the low half of word 1.
+    ranges = [(7, 0.0, 0.0), (3, 0.0, 0.0), (2, 0.0, 0.0)]
+    halves = np.array([[0, 0, 5], [613566757, 1, 0], [5, 5, 0], [5, 1431655766, 2**32 - 1]],
+                      dtype=np.uint64)
+    leftovers = halves * np.array([7, 3, 2], np.uint64) & np.uint64(2**32 - 1)
+    np.testing.assert_array_equal(leftovers[:, :2] < np.array([4, 1], np.uint64),
+                                  [[True, True], [True, False], [False, False], [False, False]])
+    raw = np.stack([halves[:, 1] << np.uint64(32) | halves[:, 0], halves[:, 2]], axis=1)
+    T, redraw = pipeline._replay_targets(raw, ranges)
+    np.testing.assert_array_equal(redraw, [True, True, False, False])
+    np.testing.assert_array_equal(T[2:], (halves[2:] * np.array([7, 3, 2], np.uint64)) >> 32)
+
+
+def test_rows_the_replay_flags_draw_from_their_own_generator(monkeypatch):
+    replay = pipeline._replay_targets
+
+    def flag_odd_rows(raw, ranges):
+        T, _ = replay(raw, ranges)
+        T[1::2] = -1.0
+        return T, np.arange(len(raw)) % 2 == 1
+
+    monkeypatch.setattr(pipeline, "_replay_targets", flag_odd_rows)
+    schema = _schema_of(INTERLEAVED)
+    Z, T = pipeline._draw_trials(schema, 5, 3, 10, 9)
+    expected_Z, expected_T = _reference_draw(schema, 5, 3, 10, 9)
+    assert Z.tobytes() == expected_Z.tobytes() and T.tobytes() == expected_T.tobytes()
+
+
+def test_a_negative_eval_seed_raises_as_seed_sequence_does():
+    world = orthogonal_world(seed=7)
+    bundle = ground_truth_bundle(world)
+    for evaluate in (eval_latent_modification, eval_end_to_end):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            evaluate(bundle, world, 10, EvalConfig(seed=-1))
 
 
 def test_end_to_end_eval_rejects_a_world_that_does_not_show_the_bundle_attributes():

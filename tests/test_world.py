@@ -19,7 +19,8 @@ from latentsteer import (
     sample_latents,
 )
 from latentsteer.pipeline import ROW_BLOCK
-from latentsteer.world import BLOCK_SIZE, _pcg64_raw, _render, direction_slots
+from latentsteer.world import (BLOCK_SIZE, _block_means, _label_latents, _pcg64_raw,
+                               direction_slots)
 
 
 def simple_config(**overrides):
@@ -385,11 +386,19 @@ def test_read_rejects_a_noise_seed_count_unlike_the_image_count():
 
 
 def test_labelling_render_leaves_only_the_texture_out():
+    # labelling reads the block means and builds no strips; the mean of a block of 64 equal
+    # pixels differs from their value in the last bits, and labelling keeps that rounding
     world = _world_with_multiclass_at((2,), 0.3)
-    Z = sample_latents(300, world.latent_dim, 1)
-    seeds = np.arange(300)
-    full, bare = render_batch(world, Z), _render(world, Z, texture=False)
-    assert (bare[:, :, -BLOCK_SIZE:] == 0.0).all()
-    assert bare[:, :, :-BLOCK_SIZE].tobytes() == full[:, :, :-BLOCK_SIZE].tobytes()
-    for name, column in read_batch(world, bare, seeds).items():
-        assert column.tobytes() == read_batch(world, full, seeds)[name].tobytes()
+    for n in (1, 7, 256, 4000):
+        Z = sample_latents(n, world.latent_dim, n)
+        seeds = np.arange(n)
+        full = render_batch(world, Z)
+        blocks = full.reshape(n, BLOCK_SIZE, -1, BLOCK_SIZE)[:, :, :-1]
+        assert (blocks == _block_means(world, Z)[:, None, :, None]).all()
+        for p in (None, 0.0):
+            expected = read_batch(world, full, seeds, label_noise=p)
+            labels = _label_latents(world, Z, seeds, label_noise=p)
+            assert list(labels) == list(expected)
+            for name, column in labels.items():
+                assert column.dtype == expected[name].dtype
+                assert column.tobytes() == expected[name].tobytes()

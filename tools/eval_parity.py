@@ -9,9 +9,10 @@ directory, as tools/bench_pairs.py does, and measured in a fresh process
 with one BLAS thread on the bench world (bench/workloads.py, seed 57) with
 training seed 3:
 
-- 18 eval reports of an N=2,000 bundle, 2,000 trials each: eval seeds
-  {1, 2, 99} x rounds {1, 3}, and the three other sign_convention x
-  continuous_calibration pairs at seed 1, for both evals;
+- 22 eval reports of an N=2,000 bundle, 2,000 trials each: eval seeds
+  {1, 2, 99} x rounds {1, 3}, the three other sign_convention x
+  continuous_calibration pairs at seed 1, and seeds 2**32 + 1 and 2**64 + 1
+  at rounds 1, for both evals;
 - run_training at N=10,000, capped at 1,000 Newton steps: per model the
   held-out metric, iterations, final loss, max |grad|, weights and
   intercepts;
@@ -53,25 +54,13 @@ def _number(x):
 def measure(tree: Path) -> dict:
     """The reports and the N=10k training figures of the package in tree/src."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    from latentsteer import (DirectorConfig, EvalConfig, TrainingConfig, build_world,
-                             eval_end_to_end, eval_latent_modification, run_training)
+    from latentsteer import TrainingConfig, build_world, run_training
     from workloads import world_config
 
     world = build_world(world_config())
     cfg = TrainingConfig(epochs=1000, seed=3)
     bundle = run_training(world, 2000, cfg)
-    configs = [(seed, rounds, DirectorConfig()) for seed in (1, 2, 99) for rounds in (1, 3)]
-    configs += [(1, 1, DirectorConfig(sign_convention=sc, continuous_calibration=cc))
-                for sc, cc in [("corrected", "paper_literal"), ("paper_literal", "calibrated"),
-                               ("paper_literal", "paper_literal")]]
-    reports = {}
-    for seed, rounds, director in configs:
-        for ev in (eval_latent_modification, eval_end_to_end):
-            r = ev(bundle, world, 2000, EvalConfig(seed=seed, director=director, rounds=rounds))
-            name = (f"{ev.__name__} seed={seed} rounds={rounds} "
-                    f"{director.sign_convention}/{director.continuous_calibration}")
-            reports[name] = {"accuracy": r.accuracy, "joint": r.joint_discrete_accuracy,
-                             "rmse": r.rmse}
+    reports = eval_reports(world, bundle, 2000)
     big = run_training(world, 10_000, cfg)
     training = {}
     for name, model in big.models.items():
@@ -82,6 +71,30 @@ def measure(tree: Path) -> dict:
                           "weights": model.weights.tolist(),
                           "intercepts": model.intercepts.tolist()}
     return {"reports": reports, "training": training, "cli": cli_outputs(world, bundle)}
+
+
+def eval_reports(world, bundle, trials: int) -> dict:
+    """Accuracies, joint accuracy and RMSEs of both evals under every eval setting, by name.
+
+    Seed 2**32 + 1 is seeded from two 32-bit words; seed 2**64 + 1 lies beyond
+    the array-seeded draw and takes the per-trial generator.
+    """
+    from latentsteer import DirectorConfig, EvalConfig, eval_end_to_end, eval_latent_modification
+
+    configs = [(seed, rounds, DirectorConfig()) for seed in (1, 2, 99) for rounds in (1, 3)]
+    configs += [(1, 1, DirectorConfig(sign_convention=sc, continuous_calibration=cc))
+                for sc, cc in [("corrected", "paper_literal"), ("paper_literal", "calibrated"),
+                               ("paper_literal", "paper_literal")]]
+    configs += [(seed, 1, DirectorConfig()) for seed in (2**32 + 1, 2**64 + 1)]
+    reports = {}
+    for seed, rounds, director in configs:
+        for ev in (eval_latent_modification, eval_end_to_end):
+            r = ev(bundle, world, trials, EvalConfig(seed=seed, director=director, rounds=rounds))
+            name = (f"{ev.__name__} seed={seed} rounds={rounds} "
+                    f"{director.sign_convention}/{director.continuous_calibration}")
+            reports[name] = {"accuracy": r.accuracy, "joint": r.joint_discrete_accuracy,
+                             "rmse": r.rmse}
+    return reports
 
 
 def cli_outputs(world, bundle) -> dict:
