@@ -7,11 +7,14 @@ models themselves and by the world's own image pathway. sweep_entanglement
 repeats the whole exercise across a range of configured direction cosines.
 
 Per-trial randomness is derived from (seed, trial index), so results do not
-depend on execution order. Each trial's latent and targets are drawn into
-arrays; trials are steered a block at a time through the steering core of
-`condition_batch`, and each block is judged by array operations: the latent
-models' decisions on its final scores, or the world's noiseless
-`read_batch` of its rendering.
+depend on execution order: trial t draws from
+default_rng(SeedSequence((seed, t))). A block's generator states are seeded
+in array operations, and its targets are replayed from raw PCG64 words, so
+the stream is numpy's bit for bit; only a rejected bounded-integer draw or a
+seed outside [0, 2**64) takes a generator of its own. Trials are steered a
+block at a time through the steering core of `condition_batch`, and each
+block is judged by array operations: the latent models' decisions on its
+final scores, or the world's noiseless reading of its block means.
 """
 
 from __future__ import annotations
@@ -224,25 +227,36 @@ def _draw_trials(schema: Sequence[AttributeSchema], dim: int, seed: int, start: 
 
     Trial t draws from default_rng(SeedSequence((seed, t))) its latent, then
     per attribute in schema order a uniform class index, or a value uniform
-    over the middle 80% of the range.
+    over the middle 80% of the range. For a seed in [0, 2**64) the rows'
+    PCG64 states are seeded in array operations; one PCG64 takes each row's
+    state in turn, draws its latent with `standard_normal` (the ziggurat has
+    no array form) and hands out the raw words its targets use, which
+    `_replay_targets` turns into targets. The rows it flags, and all rows of
+    any other seed, draw from their own generator, which raises for a
+    negative seed as SeedSequence does.
     """
     ranges = [(len(a.classes), 0.0, 0.0) if a.is_discrete
               else (0, a.lo + 0.1 * (a.hi - a.lo), a.hi - 0.1 * (a.hi - a.lo)) for a in schema]
     Z, T = np.empty((n, dim)), np.empty((n, len(schema)))
     rows = range(n)
     if (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64
-            and all(np.isfinite(hi - lo) for _, lo, hi in ranges)):
-        seed, t = int(seed), np.arange(start, start + n, dtype=np.uint64)
-        words = [np.full(n, seed & _M32, np.uint32)] + [np.full(n, seed >> 32, np.uint32)] * (seed > _M32)
-        hi, lo, inc_hi, inc_lo = (x.tolist() for x in _pcg64_states(
-            words + [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]))
+            and all(np.isfinite(hi - lo) for _, lo, hi in ranges)):  # else uniform raises
+        # the entropy's 32-bit words: seed's one or two, then t's two; a zero word at the
+        # end hashes as the pool's padding does
+        t = np.arange(start, start + n, dtype=np.uint64)
+        words = [np.full(n, w, np.uint32) for w in ((seed & _M32, seed >> 32) if seed > _M32
+                                                    else (seed,))]
+        words += [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]
+        state_hi, state_lo, inc_hi, inc_lo = (x.tolist() for x in _pcg64_states(words))
         discrete = sum(1 for k, _, _ in ranges if k)
+        # one word per continuous target, one per two discrete ones
         raw = np.empty((n, len(ranges) - discrete + (discrete + 1) // 2), np.uint64)
         bitgen = np.random.PCG64(0)
         gen = np.random.Generator(bitgen)
         for i in range(n):
             bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                            "state": {"state": hi[i] << 64 | lo[i], "inc": inc_hi[i] << 64 | inc_lo[i]}}
+                            "state": {"state": state_hi[i] << 64 | state_lo[i],
+                                      "inc": inc_hi[i] << 64 | inc_lo[i]}}
             gen.standard_normal(out=Z[i])
             raw[i] = bitgen.random_raw(raw.shape[1])
         T, redraw = _replay_targets(raw, ranges)
