@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentsteer import pipeline
 from latentsteer import (
     AttributeSchema,
     ConditioningSpec,
@@ -30,7 +31,6 @@ from latentsteer import (
 )
 from latentsteer.errors import WorldConfigError
 from latentsteer.models import LatentModel, ModelBundle
-from latentsteer import pipeline
 from latentsteer.pipeline import EvalReport
 
 
@@ -216,7 +216,8 @@ def _reference_draw(schema, dim, seed, start, n):
     return Z, T
 
 
-INTERLEAVED = (0, 2, 0, 3, 2, 7)  # continuous, binary, continuous, multiclass(3), binary, multiclass(7)
+# continuous, binary, continuous, multiclass(3), binary, multiclass(7)
+INTERLEAVED = (0, 2, 0, 3, 2, 7)
 
 
 @settings(max_examples=60, deadline=None)
