@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -468,7 +469,10 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
 
 @dataclass(frozen=True)
 class BundleProvenance:
-    """How a bundle was produced: seeds, sample count, config, held-out metrics."""
+    """How a bundle was produced: seeds, sample count, config, held-out metrics.
+
+    `metrics` is a read-only copy of the mapping given.
+    """
 
     world_seed: int
     n_samples: int
@@ -476,12 +480,16 @@ class BundleProvenance:
     metrics: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "metrics", dict(self.metrics))
+        object.__setattr__(self, "metrics", MappingProxyType(dict(self.metrics)))
 
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """One fitted latent model per schema attribute, all sharing one latent dim."""
+    """One fitted latent model per schema attribute, all sharing one latent dim.
+
+    `models` is a read-only copy of the mapping given, so a bundle that
+    several callers share cannot be changed by one of them.
+    """
 
     schema: tuple[AttributeSchema, ...]
     models: Mapping[str, LatentModel]
@@ -489,7 +497,7 @@ class ModelBundle:
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "models", dict(self.models))
+        object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise BundleIncompleteError(f"schema repeats an attribute: {names}")

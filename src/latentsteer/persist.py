@@ -4,10 +4,22 @@ JSON payloads are built in a fixed key order and serialized with sorted
 keys, so identical objects always produce identical bytes and
 save -> load -> save round-trips bit-exactly (floats use Python's
 shortest round-trip repr via the json module).
+
+`load_bundle` and `load_world` read their file on every call, but parse and
+check it only once per process: each memoizes the object it built on the
+path string together with the file's exact bytes. A file rewritten at the
+same path has new bytes and is parsed again; the same bytes under another
+path string get their own entry, so every error message names the path it
+was given. Errors are not memoized, so a malformed file raises the same
+FormatError on every load. Callers share a memoized object, which is why
+every loaded object is immutable: frozen dataclasses, read-only arrays and
+read-only mappings. A bundle keeps its `compiled` map across loads.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -54,18 +66,31 @@ def json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _read_json(path) -> dict:
+# loaded worlds and bundles memoized per loader; a serving process holds one of each
+_MEMO_SIZE = 8
+
+
+def _read_bytes(path) -> bytes:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise FormatError(f"file not found: {path}") from None
+
+
+def _decode(data: bytes, where: str) -> dict:
+    # decoded as Path.read_text decodes a file: UTF-8 with universal newlines
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise FormatError(f"{where}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(payload, dict):
-        raise FormatError(f"{path}: top-level JSON value must be an object")
+        raise FormatError(f"{where}: top-level JSON value must be an object")
     return payload
+
+
+def _read_json(path) -> dict:
+    return _decode(_read_bytes(path), str(path))
 
 
 _REQUIRED = object()
@@ -261,8 +286,13 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     Path(path).write_bytes(json_bytes(bundle_to_payload(bundle)))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _bundle_from_bytes(data: bytes, where: str) -> ModelBundle:
+    return payload_to_bundle(_decode(data, where), where)
+
+
 def load_bundle(path) -> ModelBundle:
-    return payload_to_bundle(_read_json(path), where=str(path))
+    return _bundle_from_bytes(_read_bytes(path), str(path))
 
 
 # --------------------------------------------------------------------------
@@ -332,8 +362,13 @@ def save_world(world: SyntheticWorld, path) -> None:
     Path(path).write_bytes(json_bytes(world_to_payload(world)))
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _world_from_bytes(data: bytes, where: str) -> SyntheticWorld:
+    return payload_to_world(_decode(data, where), where)
+
+
 def load_world(path) -> SyntheticWorld:
-    return payload_to_world(_read_json(path), where=str(path))
+    return _world_from_bytes(_read_bytes(path), str(path))
 
 
 # --------------------------------------------------------------------------

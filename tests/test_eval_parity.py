@@ -84,6 +84,28 @@ def test_cli_outputs_name_their_files_the_same_way_on_every_run():
     assert first["eval --mode latent --rounds 1"].startswith("exit 0\nevaluation: latent")
     assert "csv written to eval.csv" in first["eval --mode end2end --rounds 3"]
     assert first["sweep --cos 0,0.57,0.9 csv"].startswith("cosine,alpha_accuracy")
+    assert first["generate phase 0 request 0"].endswith(
+        "images written to images/before.pgm and images/after.pgm\n")
+    assert first["generate phase 2 request 2 after.pgm"].startswith("P2\n")
+
+
+def test_generate_requests_read_the_bundle_written_over_the_last():
+    from latentsteer import TrainingConfig, build_world, run_training
+    from latentsteer.models import AttributeSchema
+    from latentsteer.world import WorldConfig
+
+    world = build_world(WorldConfig(dim=8, attributes=(AttributeSchema.binary("a", "n", "p"),
+                                                       AttributeSchema.continuous("v", 0.0, 1.0)),
+                                    seed=3))
+    outputs = eval_parity.cli_outputs(world, run_training(world, 300, TrainingConfig(seed=1)))
+    for i in range(3):
+        trained, truth, again = (f"generate phase {phase} request {i}" for phase in range(3))
+        assert outputs[trained].startswith("exit 0\n") and outputs[truth].startswith("exit 0\n")
+        assert outputs[truth] != outputs[trained]
+        assert outputs[f"{truth} after.pgm"] != outputs[f"{trained} after.pgm"]
+        assert outputs[f"{truth} before.pgm"] == outputs[f"{trained} before.pgm"]
+        for suffix in ("", " before.pgm", " after.pgm"):
+            assert outputs[again + suffix] == outputs[trained + suffix]
 
 
 def test_eval_reports_cover_seeds_beyond_one_and_two_words():

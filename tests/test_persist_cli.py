@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -114,6 +115,98 @@ def test_missing_file_and_invalid_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(FormatError):
         load_bundle(bad)
+
+
+LOADERS = {"bundle": (load_bundle, bundle_to_payload), "world": (load_world, world_to_payload)}
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+def test_the_same_bytes_at_the_same_path_load_the_same_object(tmp_path, which):
+    load, _ = LOADERS[which]
+    path = tmp_path / f"{which}.json"
+    path.write_bytes(_trained_files()[which])
+    first = load(path)
+    if which == "bundle":
+        compiled = first.compiled
+    assert load(path) is first and load(str(path)) is first
+    if which == "bundle":
+        assert load(path).compiled is compiled
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+def test_new_bytes_at_the_same_path_load_the_new_content(tmp_path, which):
+    load, to_payload = LOADERS[which]
+    path = tmp_path / f"{which}.json"
+    path.write_bytes(_trained_files()[which])
+    first = load(path)
+    payload = trained_payloads()[which]
+    entry = payload["models"]["style"] if which == "bundle" else payload["directions"][0]
+    entry["intercept"] += 0.25
+    path.write_bytes(json_bytes(payload))
+    second = load(path)
+    assert second is not first and json_bytes(to_payload(second)) == json_bytes(payload)
+    path.write_bytes(_trained_files()[which])
+    assert load(path) is first
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+@pytest.mark.parametrize("bad, message", [
+    (b"{not json", "invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+    (b'{"format_version": 99}', "format_version 99 unsupported (expected 1)"),
+])
+def test_a_malformed_file_over_a_loaded_one_exits_2_every_time(tmp_path, which, bad, message):
+    files = _trained_files()
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_bytes(data)
+    assert _write_and_eval(tmp_path, {}) == (0, "")
+    (tmp_path / f"{which}.json").write_bytes(bad)
+    for _ in range(2):
+        assert _write_and_eval(tmp_path, {}) == (2, f"error: {tmp_path / which}.json: {message}\n")
+    (tmp_path / f"{which}.json").write_bytes(files[which])
+    assert _write_and_eval(tmp_path, {}) == (0, "")
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+def test_a_missing_file_raises_file_not_found_after_a_load(tmp_path, which):
+    load, _ = LOADERS[which]
+    path = tmp_path / f"{which}.json"
+    path.write_bytes(_trained_files()[which])
+    load(path)
+    path.unlink()
+    with pytest.raises(FormatError, match=f"^file not found: {re.escape(str(path))}$"):
+        load(path)
+
+
+@pytest.mark.parametrize("which", sorted(LOADERS))
+def test_the_same_bytes_under_two_paths_are_two_entries(tmp_path, which):
+    load, to_payload = LOADERS[which]
+    paths = [tmp_path / f"a-{which}.json", tmp_path / f"b-{which}.json"]
+    for path in paths:
+        path.write_bytes(_trained_files()[which])
+    a, b = (load(path) for path in paths)
+    assert a is not b and json_bytes(to_payload(a)) == json_bytes(to_payload(b))
+    payload = trained_payloads()[which]
+    payload["format_version"] = 2
+    for path in paths:
+        path.write_bytes(json_bytes(payload))
+    for path in paths:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: format_version 2 "):
+            load(path)
+
+
+def test_bundle_mappings_are_read_only_copies():
+    world = small_world()
+    bundle = run_training(world, 400, TrainingConfig(epochs=50, seed=1))
+    models, metrics = dict(bundle.models), dict(bundle.provenance.metrics)
+    copy = ModelBundle(bundle.schema, models, BundleProvenance(1, 400, TrainingConfig(), metrics))
+    models.clear()
+    metrics["style"] = -1.0
+    assert set(copy.models) == {"style", "hair", "smile"}
+    assert copy.provenance.metrics == bundle.provenance.metrics
+    with pytest.raises(TypeError):
+        copy.models["style"] = bundle.models["hair"]
+    with pytest.raises(TypeError):
+        copy.provenance.metrics["style"] = 0.0
 
 
 def test_pgm_text_format():

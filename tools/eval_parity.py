@@ -17,8 +17,12 @@ training seed 3:
   held-out metric, iterations, final loss, max |grad|, weights and
   intercepts;
 - the CLI's output: the text and the `--out-csv` file of `eval --mode
-  latent|end2end` on the N=2,000 bundle (seed 1, rounds 1 and 3), and the
-  text and CSV of a small `sweep`.
+  latent|end2end` on the N=2,000 bundle (seed 1, rounds 1 and 3), the text
+  and CSV of a small `sweep`, and the text and both PGMs of repeated
+  in-process `generate --dump-image` requests. The requests run three times
+  over: on the N=2,000 bundle, on the world's ground-truth bundle written
+  over the same file, and on the N=2,000 bundle written back, so a loader
+  that served a stale bundle would show.
 
 The output holds both revisions' figures (weights and CLI output left out)
 and their comparison: the report fields that differ by repr, the largest
@@ -36,6 +40,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -98,12 +103,12 @@ def eval_reports(world, bundle, trials: int) -> dict:
 
 
 def cli_outputs(world, bundle) -> dict:
-    """Standard output and written CSV of CLI evals and a sweep, run in a scratch directory.
+    """Standard output and written files of CLI evals, a sweep and generate requests.
 
-    The files are named relative to it, so the text that names them is the
-    same on every run.
+    They run in a scratch directory and name their files relative to it, so
+    the text that names them is the same on every run.
     """
-    from latentsteer import cli, persist
+    from latentsteer import cli, ground_truth_bundle, persist
 
     def run(*argv) -> str:
         out = io.StringIO()
@@ -129,9 +134,26 @@ def cli_outputs(world, bundle) -> dict:
             outputs[name] = run("sweep", "--cos", "0,0.57,0.9", "--trials", "500", "--n", "1000",
                                 "--dim", "16", "--seed", "4", "--out", "sweep.csv")
             outputs[f"{name} csv"] = Path("sweep.csv").read_text(encoding="utf-8")
+            for phase, steered in enumerate((bundle, ground_truth_bundle(world), bundle)):
+                persist.save_bundle(steered, "bundle.json")
+                for i, cond in enumerate(_conditions(bundle.schema)):
+                    shutil.rmtree("images", ignore_errors=True)
+                    name = f"generate phase {phase} request {i}"
+                    outputs[name] = run("generate", "--bundle", "bundle.json", "--world",
+                                        "world.json", "--cond", cond, "--seed", str(i),
+                                        "--dump-image", "images")
+                    for image in ("before.pgm", "after.pgm"):
+                        outputs[f"{name} {image}"] = Path("images", image).read_bytes().decode()
         finally:
             os.chdir(cwd)
     return outputs
+
+
+def _conditions(schema, n: int = 3) -> list[str]:
+    """n conditioning strings, each naming every attribute with a different target."""
+    return [",".join(f"{a.name}={a.classes[i % len(a.classes)]}" if a.is_discrete
+                     else f"{a.name}={a.lo + (a.hi - a.lo) * (i + 1) / (n + 1)}" for a in schema)
+            for i in range(n)]
 
 
 def _relative(base, head) -> float:
