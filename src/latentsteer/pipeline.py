@@ -6,15 +6,13 @@ latents toward random targets and score the outcome two ways: by the latent
 models themselves and by the world's own image pathway. sweep_entanglement
 repeats the whole exercise across a range of configured direction cosines.
 
-Per-trial randomness is derived from (seed, trial index), so results do not
-depend on execution order: trial t draws from
-default_rng(SeedSequence((seed, t))). A block's generator states are seeded
-in array operations, and its targets are replayed from raw PCG64 words, so
-the stream is numpy's bit for bit; only a rejected bounded-integer draw or a
-seed outside [0, 2**64) takes a generator of its own. Trials are steered a
-block at a time through the steering core of `condition_batch`, and each
-block is judged by array operations: the latent models' decisions on its
-final scores, or the world's noiseless reading of its block means.
+Eval randomness is keyed by (seed, block): the trials of block b, ROW_BLOCK
+of them, draw their latents and targets as arrays from one
+default_rng((seed, b)). A trial's draw depends on (seed, trial index) alone,
+not on how many trials run or in what order. Trials are steered a block at a
+time through the steering core of `condition_batch`, and each block is
+judged by array operations: the latent models' decisions on its final
+scores, or the world's noiseless reading of its block means.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ from .models import (
     fit_multiclass,
     fit_regressor,
 )
-from .world import (_M32, AttributeLabels, SyntheticWorld, WorldConfig, _label_latents,
-                    _pcg64_states, build_world, generate_image, oracle_label)
+from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _label_latents, build_world,
+                    generate_image, oracle_label)
 
 __all__ = [
     "EvalConfig",
@@ -192,80 +190,24 @@ class EvalReport:
                           for name, metric, v in values])
 
 
-def _replay_targets(raw: np.ndarray, ranges) -> tuple[np.ndarray, np.ndarray]:
-    """Targets from the raw PCG64 words that follow each row's latent, and the rows to redraw.
-
-    A continuous target is `uniform(lo, hi)`: lo + (hi - lo) * ((word >> 11) *
-    2**-53) of the next fresh word. A discrete one is `integers(k)`: Lemire's
-    method on a 32-bit half, (half * k) >> 32. The half is the low one of a
-    fresh word, and the next discrete draw takes that word's buffered high
-    half, across any continuous draws between. Lemire's method rejects a
-    leftover (half * k) mod 2**32 below (2**32 - k) mod k and draws again, so
-    such a row is flagged for its scalar draw.
-    """
-    T = np.empty((len(raw), len(ranges)))
-    redraw = np.zeros(len(raw), dtype=bool)
-    fresh, buffered = 0, None
-    for j, (k, lo, hi) in enumerate(ranges):
-        if not k:
-            T[:, j] = lo + (hi - lo) * ((raw[:, fresh] >> 11) * 2.0**-53)
-            fresh += 1
-            continue
-        if buffered is None:
-            half, buffered, fresh = raw[:, fresh] & _M32, fresh, fresh + 1
-        else:
-            half, buffered = raw[:, buffered] >> 32, None
-        scaled = half * k
-        T[:, j] = scaled >> 32
-        redraw |= (scaled & _M32) < (2**32 - k) % k
-    return T, redraw
-
-
-def _draw_trials(schema: Sequence[AttributeSchema], dim: int, seed: int, start: int,
+def _draw_trials(schema: Sequence[AttributeSchema], dim: int, seed: int, block: int,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Latents (n, dim) and targets (n, attributes) of trials start, ..., start + n - 1.
+    """Latents (n, dim) and targets (n, attributes) of the first n trials of eval block `block`.
 
-    Trial t draws from default_rng(SeedSequence((seed, t))) its latent, then
-    per attribute in schema order a uniform class index, or a value uniform
-    over the middle 80% of the range. For a seed in [0, 2**64) the rows'
-    PCG64 states are seeded in array operations; one PCG64 takes each row's
-    state in turn, draws its latent with `standard_normal` (the ziggurat has
-    no array form) and hands out the raw words its targets use, which
-    `_replay_targets` turns into targets. The rows it flags, and all rows of
-    any other seed, draw from their own generator, which raises for a
-    negative seed as SeedSequence does.
+    Block b holds trials b * ROW_BLOCK, ..., (b + 1) * ROW_BLOCK - 1 and draws
+    from default_rng((seed, b)): a full block of latents, then per attribute
+    in schema order a full block of uniform class indices, or of values
+    uniform over the middle 80% of the range. A short last block keeps its
+    first n rows, so a trial's draw depends on (seed, trial index) alone, not
+    on how many trials run. A negative seed raises as SeedSequence does.
     """
-    ranges = [(len(a.classes), 0.0, 0.0) if a.is_discrete
-              else (0, a.lo + 0.1 * (a.hi - a.lo), a.hi - 0.1 * (a.hi - a.lo)) for a in schema]
-    Z, T = np.empty((n, dim)), np.empty((n, len(schema)))
-    rows = range(n)
-    if (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64
-            and all(np.isfinite(hi - lo) for _, lo, hi in ranges)):  # else uniform raises
-        # the entropy's 32-bit words: seed's one or two, then t's two; a zero word at the
-        # end hashes as the pool's padding does
-        t = np.arange(start, start + n, dtype=np.uint64)
-        words = [np.full(n, w, np.uint32) for w in ((seed & _M32, seed >> 32) if seed > _M32
-                                                    else (seed,))]
-        words += [(t & _M32).astype(np.uint32), (t >> 32).astype(np.uint32)]
-        state_hi, state_lo, inc_hi, inc_lo = (x.tolist() for x in _pcg64_states(words))
-        discrete = sum(1 for k, _, _ in ranges if k)
-        # one word per continuous target, one per two discrete ones
-        raw = np.empty((n, len(ranges) - discrete + (discrete + 1) // 2), np.uint64)
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-        for i in range(n):
-            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                            "state": {"state": state_hi[i] << 64 | state_lo[i],
-                                      "inc": inc_hi[i] << 64 | inc_lo[i]}}
-            gen.standard_normal(out=Z[i])
-            raw[i] = bitgen.random_raw(raw.shape[1])
-        T, redraw = _replay_targets(raw, ranges)
-        rows = np.flatnonzero(redraw).tolist()
-    for i in rows:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, start + i)))
-        Z[i] = rng.standard_normal(dim)
-        T[i] = [rng.integers(k) if k else rng.uniform(lo, hi) for k, lo, hi in ranges]
-    return Z, T
+    rng = np.random.default_rng((seed, block))
+    Z = rng.standard_normal((ROW_BLOCK, dim))
+    T = np.empty((ROW_BLOCK, len(schema)))
+    for j, a in enumerate(schema):
+        T[:, j] = (rng.integers(len(a.classes), size=ROW_BLOCK) if a.is_discrete
+                   else rng.uniform(a.lo + 0.1 * (a.hi - a.lo), a.hi - 0.1 * (a.hi - a.lo), ROW_BLOCK))
+    return Z[:n], T[:n]
 
 
 def _steer(Z: np.ndarray, targets: tuple[np.ndarray, ...], m: CompiledBundle,
@@ -320,7 +262,8 @@ def _run_trials(bundle: ModelBundle, trials: int, cfg: EvalConfig,
     joint_hits = 0
 
     for start in range(0, trials, ROW_BLOCK):
-        Z, T = _draw_trials(bundle.schema, m.dim, cfg.seed, start, min(ROW_BLOCK, trials - start))
+        Z, T = _draw_trials(bundle.schema, m.dim, cfg.seed, start // ROW_BLOCK,
+                            min(ROW_BLOCK, trials - start))
         targets = tuple(T[:, j] if perm is None else perm[T[:, j].astype(np.intp)]
                         for j, perm in enumerate(to_block))
         Z, S = _steer(Z, targets, m, cfg)
