@@ -243,6 +243,12 @@ def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.nda
 
     Y is one-hot (n, k); intercepts are not penalized.
     """
+    return _softmax_terms(W, b, X, Y, l2)[:3]
+
+
+def _softmax_terms(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                   l2: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """softmax_loss_and_grad's loss and gradient, and the (n, k) class probabilities."""
     logits = X @ W.T + b
     logits -= logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(logits).sum(axis=1))
@@ -252,7 +258,7 @@ def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.nda
     resid = P - Y
     grad_W = resid.T @ X / X.shape[0] + l2 * W
     grad_b = resid.mean(axis=0)
-    return loss, grad_W, grad_b
+    return loss, grad_W, grad_b, P
 
 
 # --------------------------------------------------------------------------
@@ -325,15 +331,12 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     """
     (n, d), k = X.shape, Y.shape[1]
     W, b = np.zeros((k, d)), np.zeros(k)
-    loss, gW, gb = softmax_loss_and_grad(W, b, X, Y, l2)
+    loss, gW, gb, P = _softmax_terms(W, b, X, Y, l2)
     steps = 0
     while True:
         g = np.hstack([gW, gb[:, None]]).ravel()  # per class: d weights, then the intercept
         if steps == max_iter or np.abs(g).max() <= GRAD_TOL:
             break
-        logits = X @ W.T + b
-        P = np.exp(logits - logits.max(axis=1, keepdims=True))
-        P /= P.sum(axis=1, keepdims=True)
         H = np.empty((k, d + 1, k, d + 1))
         for a in range(k - 1):
             for c in range(a, k - 1):
@@ -355,14 +358,14 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
         step = _min_norm_solve(H, -g).reshape(k, d + 1)
         t = 1.0
         while t > 1e-12:
-            trial = softmax_loss_and_grad(W + t * step[:, :d], b + t * step[:, d], X, Y, l2)
+            trial = _softmax_terms(W + t * step[:, :d], b + t * step[:, d], X, Y, l2)
             if trial[0] <= loss + 1e-4 * t * float(g @ step.ravel()):
                 break
             t /= 2
         else:
             break
         W, b = W + t * step[:, :d], b + t * step[:, d]
-        loss, gW, gb = trial
+        loss, gW, gb, P = trial
         steps += 1
     return W, b, loss, float(np.abs(g).max()), steps
 
