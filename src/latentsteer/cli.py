@@ -78,6 +78,8 @@ def parse_conditioning(cond: str, schema) -> ConditioningSpec:
             raise ConditioningError(
                 f"unknown attribute {name!r}; legal attributes: {sorted(by_name)}"
             )
+        if name in discrete or name in continuous:
+            raise ConditioningError(f"attribute {name!r} is assigned more than once in {cond!r}")
         if attr.is_discrete:
             if value not in attr.classes:
                 raise ConditioningError(

@@ -380,7 +380,7 @@ def pgm_text(image: SyntheticImage) -> str:
     pixels = np.rint(image.pixels * 255.0).astype(int)
     h, w = pixels.shape
     lines = ["P2", f"{w} {h}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in pixels)
+    lines.extend(" ".join(map(str, row)) for row in pixels.tolist())
     return "\n".join(lines) + "\n"
 
 

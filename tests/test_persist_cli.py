@@ -20,6 +20,7 @@ from latentsteer import (
     FormatError,
     LatentModel,
     ModelBundle,
+    SyntheticImage,
     TrainingConfig,
     TrainingMeta,
     WorldConfig,
@@ -222,6 +223,24 @@ def test_pgm_text_format():
     assert min(values) >= 0 and max(values) <= 255
 
 
+def _pgm_of_numpy_scalars(image):
+    """pgm_text as it formatted each pixel by `str` of a numpy integer scalar."""
+    pixels = np.rint(image.pixels * 255.0).astype(int)
+    h, w = pixels.shape
+    lines = ["P2", f"{w} {h}", "255"]
+    lines.extend(" ".join(str(v) for v in row) for row in pixels)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=st.integers(1, 6), data=st.data())
+def test_pgm_text_equals_the_numpy_scalar_formatting(blocks, data):
+    pixels = data.draw(arrays(np.float64, (8, 8 * blocks),
+                              elements=st.floats(0.0, 1.0, allow_subnormal=False)))
+    image = SyntheticImage(pixels)
+    assert pgm_text(image) == _pgm_of_numpy_scalars(image)
+
+
 def test_parse_conditioning_against_schema():
     world = small_world()
     schema = world.config.attributes
@@ -237,6 +256,17 @@ def test_parse_conditioning_against_schema():
         parse_conditioning("style=gown", schema)
     with pytest.raises(ConditioningError):
         parse_conditioning("smile=often", schema)
+    for cond in ("style=dress,style=tee", "style=dress, style=dress",
+                 "smile=0.2,hair=black,smile=0.2"):
+        with pytest.raises(ConditioningError, match="assigned more than once"):
+            parse_conditioning(cond, schema)
+
+
+def test_cli_generate_with_a_repeated_attribute_exits_2(tmp_path):
+    code, err = _write_and_run(tmp_path, trained_payloads(), "generate", "--seed", "1",
+                               "--cond", "style=dress,style=tee")
+    assert code == 2
+    assert err.startswith("error:") and "'style' is assigned more than once" in err
 
 
 def write_world_config(path, dim=12, label_noise=0.0, entanglement=None):
