@@ -1,6 +1,7 @@
 """The eval-parity comparison of two revisions' reports and fits."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ _spec.loader.exec_module(eval_parity)
 
 def _figures(style_acc=0.9, joint=0.8, rmse=0.02, weights=(1.0, -2.0), intercept=0.5,
              metric=0.963, iterations=7):
-    report = {"accuracy": {"style": style_acc}, "joint": joint, "rmse": {"smile": rmse}}
+    report = {"trials": 2000, "accuracy": {"style": style_acc}, "joint": joint,
+              "rmse": {"smile": rmse}}
     return {"reports": {"latent seed=1": report, "end2end seed=1": dict(report, rmse={})},
             "training": {"style": {"metric": metric, "iterations": iterations,
                                    "weights": [list(weights)], "intercepts": [intercept]}},
@@ -24,7 +26,7 @@ def _figures(style_acc=0.9, joint=0.8, rmse=0.02, weights=(1.0, -2.0), intercept
 def test_equal_figures_compare_equal():
     c = eval_parity.compare(_figures(), _figures())
     assert c["reports"] == 2 and c["accuracies_equal"] and c["reports_differing"] == {}
-    assert c["rmse_max_rel_diff"] == 0.0
+    assert c["rmse_max_rel_diff"] == 0.0 and c["accuracy_max_z"] == 0.0
     assert c["cli_outputs"] == 2 and c["cli_differing"] == []
     assert c["training"]["style"] == {"iterations": [7, 7], "metric_equal": True,
                                       "weights_rel_diff": 0.0, "intercepts_rel_diff": 0.0}
@@ -43,6 +45,17 @@ def test_a_moved_accuracy_is_named(head, field):
     c = eval_parity.compare(_figures(), _figures(**head))
     assert not c["accuracies_equal"]
     assert c["reports_differing"] == {"latent seed=1": [field], "end2end seed=1": [field]}
+
+
+def test_accuracy_max_z_is_the_largest_difference_in_standard_errors():
+    # joint 0.8 -> 0.77 at 2,000 trials each: se = sqrt((0.16 + 0.1771) / 2000)
+    c = eval_parity.compare(_figures(), _figures(style_acc=0.91, joint=0.77))
+    assert c["accuracy_max_z"] == pytest.approx(0.03 / math.sqrt(0.3371 / 2000), rel=1e-12)
+    assert 2.3 < c["accuracy_max_z"] < 2.4
+    c = eval_parity.compare(_figures(style_acc=1.0, joint=0.0), _figures(style_acc=1.0, joint=0.0))
+    assert c["accuracy_max_z"] == 0.0  # no spread and no difference
+    assert eval_parity.compare(_figures(style_acc=1.0), _figures(style_acc=0.9995))[
+        "accuracy_max_z"] == pytest.approx(1.0, rel=1e-3)  # one trial in 2,000
 
 
 def test_a_missing_report_counts_as_unequal():
@@ -122,5 +135,5 @@ def test_eval_reports_cover_seeds_beyond_one_and_two_words():
     for seed in (2**32 + 1, 2**64 + 1):
         report = eval_end_to_end(bundle, world, 20, EvalConfig(seed=seed))
         assert reports[f"eval_end_to_end seed={seed} rounds=1 corrected/calibrated"] == {
-            "accuracy": report.accuracy, "joint": report.joint_discrete_accuracy,
+            "trials": 20, "accuracy": report.accuracy, "joint": report.joint_discrete_accuracy,
             "rmse": report.rmse}

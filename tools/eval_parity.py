@@ -26,10 +26,16 @@ training seed 3:
 
 The output holds both revisions' figures (weights and CLI output left out)
 and their comparison: the report fields that differ by repr, the largest
-relative RMSE difference, per model whether the held-out metric is equal by
-repr and the largest relative weight and intercept differences, and the CLI
+relative RMSE difference, the largest accuracy difference in standard errors
+(`accuracy_max_z`), per model whether the held-out metric is equal by repr
+and the largest relative weight and intercept differences, and the CLI
 outputs that differ byte for byte. Uses the standard library and numpy, and
 changes nothing under bench/.
+
+A change that keeps the eval's random stream should read no report field
+differing. One that changes the stream can only be compared statistically:
+each accuracy is a mean of independent trials, so |z| <= 4 over the 22
+reports is the gate, with the fits and the `generate` outputs still equal.
 """
 
 from __future__ import annotations
@@ -81,8 +87,7 @@ def measure(tree: Path) -> dict:
 def eval_reports(world, bundle, trials: int) -> dict:
     """Accuracies, joint accuracy and RMSEs of both evals under every eval setting, by name.
 
-    Seed 2**32 + 1 is seeded from two 32-bit words; seed 2**64 + 1 lies beyond
-    the array-seeded draw and takes the per-trial generator.
+    Seeds 2**32 + 1 and 2**64 + 1 need two and three 32-bit words of entropy.
     """
     from latentsteer import DirectorConfig, EvalConfig, eval_end_to_end, eval_latent_modification
 
@@ -97,8 +102,8 @@ def eval_reports(world, bundle, trials: int) -> dict:
             r = ev(bundle, world, trials, EvalConfig(seed=seed, director=director, rounds=rounds))
             name = (f"{ev.__name__} seed={seed} rounds={rounds} "
                     f"{director.sign_convention}/{director.continuous_calibration}")
-            reports[name] = {"accuracy": r.accuracy, "joint": r.joint_discrete_accuracy,
-                             "rmse": r.rmse}
+            reports[name] = {"trials": r.trials, "accuracy": r.accuracy,
+                             "joint": r.joint_discrete_accuracy, "rmse": r.rmse}
     return reports
 
 
@@ -163,9 +168,15 @@ def _relative(base, head) -> float:
     return float(diff / scale) if scale > 0 else float(diff)
 
 
+def _z(base: float, head: float, trials: int) -> float:
+    """|head - base| in standard errors of the difference of two accuracies over `trials` each."""
+    se = math.sqrt((base * (1 - base) + head * (1 - head)) / trials)
+    return abs(head - base) / se if se else (0.0 if head == base else math.inf)
+
+
 def compare(base: dict, head: dict) -> dict:
-    """Which report fields differ by repr, and how far the N=10k fits moved."""
-    differing, rmse_rel = {}, 0.0
+    """Which report fields differ by repr, and how far the accuracies and the N=10k fits moved."""
+    differing, rmse_rel, z_max = {}, 0.0, 0.0
     for name, b in base["reports"].items():
         h = head["reports"].get(name)
         if h is None:
@@ -174,6 +185,11 @@ def compare(base: dict, head: dict) -> dict:
         fields = [f for f in ("accuracy", "joint", "rmse") if repr(b[f]) != repr(h[f])]
         if fields:
             differing[name] = fields
+        pairs = [(value, h["accuracy"][attr]) for attr, value in b["accuracy"].items()
+                 if attr in h["accuracy"]]
+        if b["joint"] is not None and h["joint"] is not None:
+            pairs.append((b["joint"], h["joint"]))
+        z_max = max([z_max, *(_z(value, other, b["trials"]) for value, other in pairs)])
         for attr, value in b["rmse"].items():
             if attr in h["rmse"]:
                 rmse_rel = max(rmse_rel, _relative(value, h["rmse"][attr]))
@@ -187,7 +203,8 @@ def compare(base: dict, head: dict) -> dict:
     accuracies_equal = not any({"accuracy", "joint", "missing"} & set(f) for f in differing.values())
     cli_differing = [name for name, text in base["cli"].items() if head["cli"].get(name) != text]
     return {"reports": len(base["reports"]), "accuracies_equal": accuracies_equal,
-            "reports_differing": differing, "rmse_max_rel_diff": rmse_rel, "training": training,
+            "reports_differing": differing, "rmse_max_rel_diff": rmse_rel,
+            "accuracy_max_z": z_max, "training": training,
             "cli_outputs": len(base["cli"]), "cli_differing": cli_differing}
 
 
