@@ -149,7 +149,7 @@ class EvalConfig:
             raise ValueError("rounds must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # callers keep many: no per-instance __dict__
 class EvalReport:
     """Per-attribute success rates over a trial loop."""
 
