@@ -173,12 +173,12 @@ class BatchUpdate:
     def satisfied(self) -> np.ndarray:
         """(n,) every target met at z_prime: the class, or the value within 1e-9."""
         met = np.ones(len(self.z_prime), dtype=bool)
-        for (_, kind, rows, _), target in zip(self.compiled.blocks, self.targets):
-            after = self.scores_after[:, rows]
+        for (_, kind, _, _), target, after in zip(self.compiled.blocks, self.targets,
+                                                  _readout(self.compiled, self.scores_after)):
             if kind == CONTINUOUS:
-                met &= np.isnan(target) | (np.abs(after[:, 0] - target) <= 1e-9)
+                met &= np.isnan(target) | (np.abs(after - target) <= 1e-9)
             else:
-                met &= (target < 0) | (decide(kind, after) == target)
+                met &= (target < 0) | (after == target)
         return met
 
 
@@ -191,20 +191,25 @@ def _scores(m: CompiledBundle, Z: np.ndarray) -> np.ndarray:
     return np.einsum("nd,rd->nr", Z, m.weights) + m.intercepts
 
 
-def _labels(m: CompiledBundle, S: np.ndarray) -> list[AttributeLabels]:
-    """Attribute readout of every row of scores."""
-    discrete = [(name, classes, decide(kind, S[:, rows]))
-                for name, kind, rows, classes in m.blocks if kind != CONTINUOUS]
-    continuous = [(name, S[:, rows.start]) for name, kind, rows, _ in m.blocks if kind == CONTINUOUS]
-    return [AttributeLabels({name: classes[idx[i]] for name, classes, idx in discrete},
-                            {name: float(values[i]) for name, values in continuous})
-            for i in range(len(S))]
+def _readout(m: CompiledBundle, S: np.ndarray) -> list[np.ndarray]:
+    """Per block, each row of scores read: its class index by `decide`, or its value."""
+    return [S[:, rows.start] if kind == CONTINUOUS else decide(kind, S[:, rows])
+            for _, kind, rows, _ in m.blocks]
+
+
+def _labels(m: CompiledBundle, readout: list[np.ndarray], n: int) -> list[AttributeLabels]:
+    """The AttributeLabels of each of the n rows of a `_readout`."""
+    read = list(zip(m.blocks, readout))
+    return [AttributeLabels(
+        {name: classes[v[i]] for (name, kind, _, classes), v in read if kind != CONTINUOUS},
+        {name: float(v[i]) for (name, kind, _, _), v in read if kind == CONTINUOUS})
+        for i in range(n)]
 
 
 def latent_labels(bundle: ModelBundle, z) -> AttributeLabels:
     """Predicted class per discrete attribute and value per continuous one."""
     m = bundle.compiled
-    return _labels(m, _scores(m, as_latent(z, m.dim)[None, :]))[0]
+    return _labels(m, _readout(m, _scores(m, as_latent(z, m.dim)[None, :])), 1)[0]
 
 
 def _validate_spec(spec: ConditioningSpec, schema: tuple[AttributeSchema, ...]) -> None:
@@ -312,13 +317,13 @@ def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray,
     moved = np.zeros(n, dtype=bool)
     mismatch: dict[str, np.ndarray] = {}
     mc_moves: dict[str, np.ndarray] = {}
-    for (name, kind, rows, classes), target in zip(m.blocks, targets):
+    for (name, kind, rows, classes), target, now in zip(m.blocks, targets, _readout(m, S)):
         # `go`: the rows the attribute moves
         r = rows.start
         if kind == CONTINUOUS:
             go = ~np.isnan(target)
         else:
-            go = mismatch[name] = (target >= 0) & (target != decide(kind, S[:, rows]))
+            go = mismatch[name] = (target >= 0) & (target != now)
         if kind == BINARY and m.norms[r] == 0.0:
             raise DegenerateModelError("hyperplane direction has zero norm")
         if kind == MULTICLASS:
@@ -373,17 +378,17 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
         z_prime.flags.writeable = False
 
     sb, sa = S = np.concatenate([batch.scores_before, batch.scores_after])
-    before, after = _labels(m, S)
+    readout = _readout(m, S)
+    before, after = _labels(m, readout, 2)
     chosen = {name: bool(mask[0]) for name, mask in batch.mismatch.items()}
     dist_before: dict[str, float] = {}
     dist_after: dict[str, float] = {}
-    for name, kind, rows, classes in m.blocks:
+    for (name, kind, rows, _), target, now in zip(m.blocks, batch.targets, readout):
         if kind == BINARY:
             norm, s0, s1 = m.norms[rows.start], sb[rows.start], sa[rows.start]
         elif kind == MULTICLASS and chosen[name]:
             # the first redirect's boundary: the desired class against the class before
-            hi = rows.start + classes.index(spec.discrete[name])
-            lo = rows.start + classes.index(before.discrete[name])
+            hi, lo = rows.start + target[0], rows.start + now[0]
             norm = np.linalg.norm(m.weights[hi] - m.weights[lo])
             s0, s1 = sb[hi] - sb[lo], sa[hi] - sa[lo]
         else:

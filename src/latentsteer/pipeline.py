@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .director import DirectorConfig, _condition_rows, _latent_rows, latent_labels
+from .director import DirectorConfig, _condition_rows, _latent_rows, _readout, latent_labels
 from .errors import UnlearnableAttributeError, WorldConfigError
 from .geometry import pairwise_cosines, sample_latents
 from .models import (
@@ -37,7 +37,6 @@ from .models import (
     LatentModel,
     ModelBundle,
     TrainingConfig,
-    decide,
     fit_binary,
     fit_multiclass,
     fit_regressor,
@@ -303,8 +302,7 @@ def eval_latent_modification(bundle: ModelBundle, world: SyntheticWorld, trials:
     def judge(Z: np.ndarray, S: np.ndarray) -> dict[str, np.ndarray]:
         if not np.isfinite(Z).all():
             raise ValueError("latent vector contains NaN or Inf entries")  # as `latent_labels`
-        return {name: S[:, rows.start] if kind == CONTINUOUS else decide(kind, S[:, rows])
-                for name, kind, rows, _ in bundle.compiled.blocks}
+        return {block[0]: v for block, v in zip(bundle.compiled.blocks, _readout(bundle.compiled, S))}
 
     return _run_trials(bundle, trials, cfg, judge, lambda z: latent_labels(bundle, z), "latent")
 

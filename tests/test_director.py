@@ -386,6 +386,42 @@ def steering_batches(draw):
     return bundle, Z, specs, cfg
 
 
+def _check_report(bundle, z, spec, report):
+    """The report's choose bits, distances and deltas, recomputed from each LatentModel's rows.
+
+    A binary distance is -(w.z + b)/|w|; a chosen multiclass attribute's is
+    the same over the difference of the desired class's row and the row of
+    the class latent_labels reads before the step. Each figure sums terms
+    that may cancel, multiclass scores included, so it must agree within
+    1e-12 of the summed magnitudes: rtol 1e-12 wherever nothing cancels.
+    """
+    before = latent_labels(bundle, z)
+    bits, rows = {}, {}
+    for attr in bundle.schema:
+        name, model = attr.name, bundle.models[attr.name]
+        if not attr.is_discrete:
+            continue
+        bits[name] = int(name in spec.discrete and spec.discrete[name] != before.discrete[name])
+        if attr.kind == "binary":
+            w, b = model.weights[0], model.intercepts[0]
+            rows[name] = w, b, np.abs(w), abs(b)
+        elif bits[name]:
+            hi, lo = (model.classes.index(c) for c in (spec.discrete[name], before.discrete[name]))
+            W, B = model.weights[[hi, lo]], model.intercepts[[hi, lo]]
+            rows[name] = W[0] - W[1], B[0] - B[1], np.abs(W).sum(axis=0), np.abs(B).sum()
+    assert report.choose.names == tuple(bits) and report.choose.as_dict() == bits
+    assert list(report.distances_before) == list(rows) == list(report.distances_after)
+    for name, (w, b, w_size, b_size) in rows.items():
+        norm = np.sqrt((w * w).sum())
+        for x, got in ((z, report.distances_before[name]), (report.z_prime, report.distances_after[name])):
+            assert abs(got + (w @ x + b) / norm) <= 1e-12 * (w_size @ np.abs(x) + b_size) / norm
+    assert list(report.deltas) == list(spec.continuous)
+    for name, target in spec.continuous.items():
+        w, b = bundle.models[name].weights[0], bundle.models[name].intercepts[0]
+        assert abs(report.deltas[name] - (target - (w @ z + b))) <= 1e-12 * (
+            abs(target) + np.abs(w) @ np.abs(z) + abs(b))
+
+
 @settings(max_examples=300, deadline=None)
 @given(steering_batches())
 # a tiny normal far from its boundary: the step is huge and must not overflow
@@ -413,6 +449,7 @@ def test_condition_batch_rows_equal_single_condition(case):
         moves = {name: int(count[i]) for name, count in batch.multiclass_moves.items()
                  if batch.mismatch[name][i]}
         assert moves == single.multiclass_moves
+        _check_report(bundle, z, spec, single)
         if not batch.moved[i]:
             assert batch.z_prime[i].tobytes() == z.tobytes()
             assert single.z_prime is single.z
