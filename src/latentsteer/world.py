@@ -303,14 +303,14 @@ def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (new_lo < inc_lo), new_lo
 
 
-def _pcg64_states(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(state_hi, state_lo, inc_hi, inc_lo) of np.random.PCG64(SeedSequence(entropy)) per row.
+def _pcg64_raw(seeds: np.ndarray, m: int) -> np.ndarray:
+    """(n, m): np.random.PCG64(seed).random_raw(m) for each of n uint64 seeds, in array operations.
 
-    words holds up to four uint32 arrays, row i's entropy words in order.
-    SeedSequence hashes its entropy words, zero-padded to its pool of four, so
-    trailing zero words change nothing; it mixes the pool and draws eight
-    words from it. PCG64 seeds its 128-bit LCG from those. uint32 and uint64
-    arrays wrap as the C code does.
+    SeedSequence(seed) hashes the seed's two 32-bit words, zero-padded to its
+    pool of four; it mixes the pool and draws eight words from it. PCG64
+    seeds its 128-bit LCG from those. Each output is the high ^ low half of
+    the LCG's next state, rotated right by the state's top six bits. uint32
+    and uint64 arrays wrap as the C code does.
     """
     hash_const = _SS_INIT_A
 
@@ -321,8 +321,9 @@ def _pcg64_states(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
         value = value * hash_const
         return value ^ value >> 16
 
-    zero = np.zeros_like(words[0])
-    pool = [hashmix(word) for word in [*words, *[zero] * (4 - len(words))]]
+    zero = np.zeros(len(seeds), np.uint32)
+    pool = [hashmix(word) for word in ((seeds & _M32).astype(np.uint32),
+                                       (seeds >> 32).astype(np.uint32), zero, zero)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -339,18 +340,6 @@ def _pcg64_states(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     hi, lo = _lcg_step(np.zeros_like(inc_hi), np.zeros_like(inc_lo), inc_hi, inc_lo)
     lo = lo + init_lo
     hi, lo = _lcg_step(hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
-
-
-def _pcg64_raw(seeds: np.ndarray, m: int) -> np.ndarray:
-    """(n, m): np.random.PCG64(seed).random_raw(m) for each of n uint64 seeds, in array operations.
-
-    SeedSequence(seed) hashes the seed's two 32-bit words. Each output is
-    the high ^ low half of the LCG's next state, rotated right by the
-    state's top six bits.
-    """
-    hi, lo, inc_hi, inc_lo = _pcg64_states([(seeds & _M32).astype(np.uint32),
-                                            (seeds >> 32).astype(np.uint32)])
     raw = np.empty((len(seeds), m), np.uint64)
     for j in range(m):
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
