@@ -309,7 +309,10 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
 
 def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray, ...],
                     cfg: DirectorConfig) -> BatchUpdate:
-    """`condition_batch` on checked latents and per-block targets, as `BatchUpdate.targets` holds them."""
+    """`condition_batch` on checked latents and per-block targets, as `BatchUpdate.targets` holds them.
+
+    Raises DegenerateModelError where a stepped row or its scores are not finite.
+    """
     n = len(Z)
     S = _scores(m, Z)
     coef = np.zeros_like(S)       # step length along each compiled unit row
@@ -359,7 +362,11 @@ def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray,
     if moved.any():
         # only moved rows get an update: adding a zero update would turn -0.0 into 0.0
         Z_prime[moved] += np.einsum("nr,rd->nd", coef[moved], m.units) + redirects[moved]
-    return BatchUpdate(m, targets, Z_prime, moved, S, _scores(m, Z_prime), mismatch, mc_moves)
+    S_prime = _scores(m, Z_prime)
+    if not (np.isfinite(Z_prime).all() and np.isfinite(S_prime).all()):
+        raise DegenerateModelError(f"the step overflows: a stepped latent or its scores are not "
+                                   f"finite (delta_margin={cfg.delta_margin})")
+    return BatchUpdate(m, targets, Z_prime, moved, S, S_prime, mismatch, mc_moves)
 
 
 def condition(z, spec: ConditioningSpec, bundle: ModelBundle,

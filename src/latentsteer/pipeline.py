@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .director import DirectorConfig, _condition_rows, _latent_rows, _readout, latent_labels
+from .director import DirectorConfig, _condition_rows, _readout, latent_labels
 from .errors import UnlearnableAttributeError, WorldConfigError
 from .geometry import pairwise_cosines, sample_latents
 from .models import (
@@ -218,8 +218,7 @@ def _steer(Z: np.ndarray, targets: tuple[np.ndarray, ...], m: CompiledBundle,
     todo = np.arange(len(Z))
     S = np.empty((len(Z), len(m.weights)))
     for _ in range(cfg.rounds):
-        step = _condition_rows(m, _latent_rows(Z[todo], m), tuple(t[todo] for t in targets),
-                               cfg.director)
+        step = _condition_rows(m, Z[todo], tuple(t[todo] for t in targets), cfg.director)
         Z[todo], S[todo] = step.z_prime, step.scores_after
         todo = todo[~step.satisfied]
         if not todo.size:
@@ -300,8 +299,6 @@ def eval_latent_modification(bundle: ModelBundle, world: SyntheticWorld, trials:
     _check_eval(bundle, world, trials)
 
     def judge(Z: np.ndarray, S: np.ndarray) -> dict[str, np.ndarray]:
-        if not np.isfinite(Z).all():
-            raise ValueError("latent vector contains NaN or Inf entries")  # as `latent_labels`
         return {block[0]: v for block, v in zip(bundle.compiled.blocks, _readout(bundle.compiled, S))}
 
     return _run_trials(bundle, trials, cfg, judge, lambda z: latent_labels(bundle, z), "latent")

@@ -1,5 +1,7 @@
 """Conditioning engine: choose vectors, crossing moves, calibration, combined steps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -453,3 +455,32 @@ def test_condition_batch_rows_equal_single_condition(case):
         if not batch.moved[i]:
             assert batch.z_prime[i].tobytes() == z.tobytes()
             assert single.z_prime is single.z
+
+
+@settings(max_examples=200, deadline=None)
+@given(steering_batches(), st.floats(0.5, 1e308))
+# at the largest margin the first row's step overflows; the second row is already met
+@example((binary_bundle(direction=(3.0, 0.0)), np.array([[-1.0, 0.0], [1.0, 0.0]]),
+          [ConditioningSpec({"flag": "pos"})] * 2, DirectorConfig()), 1e308)
+def test_a_step_of_any_margin_lands_or_raises(case, margin):
+    """Each row's step lands, with z' and its scores finite, or raises DegenerateModelError,
+    and the batch raises exactly when some row raises alone. A landed report's distance may
+    still read inf: the difference or quotient of two finite scores can overflow."""
+    bundle, Z, specs, cfg = case
+    cfg = replace(cfg, delta_margin=margin)
+    landed = []
+    for z, spec in zip(Z, specs):
+        try:
+            report = condition(z, spec, bundle, cfg)
+        except DegenerateModelError:
+            landed.append(False)
+            continue
+        landed.append(True)
+        assert np.isfinite(report.z_prime).all()
+        assert latent_labels(bundle, report.z_prime) == report.labels_after
+        assert np.isfinite(list(report.labels_after.continuous.values())).all()
+    if all(landed):
+        condition_batch(Z, specs, bundle, cfg)
+    else:
+        with pytest.raises(DegenerateModelError):
+            condition_batch(Z, specs, bundle, cfg)

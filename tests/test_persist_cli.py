@@ -269,6 +269,16 @@ def test_cli_generate_with_a_repeated_attribute_exits_2(tmp_path):
     assert err.startswith("error:") and "'style' is assigned more than once" in err
 
 
+@pytest.mark.parametrize("args", [("generate", "--seed", "1", "--cond", "style=dress,hair=blond,smile=0.7"),
+                                  ("eval", "--mode", "latent", "--trials", "50"),
+                                  ("eval", "--mode", "end2end", "--trials", "50")],
+                         ids=["generate", "latent", "end2end"])
+def test_cli_a_step_that_overflows_exits_3(tmp_path, args):
+    code, err = _write_and_run(tmp_path, trained_payloads(), *args, "--delta", "1e308")
+    assert code == 3
+    assert err.startswith("error: the step overflows") and "not finite" in err
+
+
 def write_world_config(path, dim=12, label_noise=0.0, entanglement=None):
     payload = {
         "dim": dim,
