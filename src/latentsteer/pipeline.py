@@ -387,7 +387,6 @@ class SweepConfig:
 
     dim: int = 32
     seed: int = 0
-    label_noise: float = 0.0
     train: TrainingConfig = TrainingConfig()
     director: DirectorConfig = DirectorConfig()
     rounds: int = 1
@@ -440,7 +439,6 @@ def sweep_entanglement(cos_values: Sequence[float], trials: int, n_samples: int,
                     AttributeSchema.binary(names[1], "off", "on"),
                 ),
                 entanglement=np.array([[1.0, c], [c, 1.0]]),
-                label_noise=cfg.label_noise,
                 seed=cfg.seed + 7919 * i,
             )
             world = build_world(world_cfg)
