@@ -11,8 +11,10 @@ from hypothesis.extra.numpy import arrays
 from latentsteer import (
     AttributeSchema,
     ConditioningError,
+    ChooseVector,
     ConditioningSpec,
     DegenerateModelError,
+    DimensionMismatchError,
     DirectorConfig,
     LatentModel,
     ModelBundle,
@@ -74,6 +76,28 @@ def test_choose_vector_cases():
     assert condition(z, ConditioningSpec(), bundle).choose.bits == (0, 0)
     with pytest.raises(ConditioningError):
         condition(z, ConditioningSpec({"ghost": "x"}), bundle)
+    with pytest.raises(ValueError, match="equal length"):
+        ChooseVector(("style", "pose"), (1,))
+    with pytest.raises(ValueError, match="0 or 1"):
+        ChooseVector(("style",), (2,))
+
+
+def test_a_spec_naming_one_attribute_in_both_maps_is_rejected():
+    with pytest.raises(ConditioningError, match="both discrete and continuous"):
+        ConditioningSpec({"flag": "pos"}, {"flag": 0.5})
+
+
+@pytest.mark.parametrize("Z, n_specs, error, message", [
+    (np.zeros(2), 2, ValueError, "finite \\(n, dim\\) array"),
+    (np.array([[0.0, np.nan]]), 1, ValueError, "finite \\(n, dim\\) array"),
+    (np.array([[0.0, np.inf]]), 1, ValueError, "finite \\(n, dim\\) array"),
+    (np.zeros((1, 3)), 1, DimensionMismatchError, "expected 2, got 3"),
+    (np.zeros((2, 2)), 1, ValueError, "2 latents but 1 conditioning specs"),
+    (np.zeros((1, 2)), 2, ValueError, "1 latents but 2 conditioning specs"),
+], ids=["1-d", "nan", "inf", "dim", "fewer specs", "more specs"])
+def test_condition_batch_rejects_bad_latents_and_spec_counts(Z, n_specs, error, message):
+    with pytest.raises(error, match=message):
+        condition_batch(Z, [ConditioningSpec()] * n_specs, binary_bundle())
 
 
 def test_condition_binary_corrected_hand_value():
@@ -296,6 +320,10 @@ def test_condition_validates_spec():
         condition(np.zeros(2), ConditioningSpec(continuous={"level": 2.0}), reg)
     with pytest.raises(ConditioningError):
         condition(np.zeros(2), ConditioningSpec(continuous={"flag": 0.5}), bundle)
+    with pytest.raises(ConditioningError, match="is continuous"):
+        condition(np.zeros(2), ConditioningSpec({"level": "high"}), reg)
+    with pytest.raises(ConditioningError, match="unknown attribute 'ghost'"):
+        condition(np.zeros(2), ConditioningSpec(continuous={"ghost": 0.5}), reg)
 
 
 def test_condition_rejects_degenerate_regressor():
@@ -323,6 +351,8 @@ def test_director_config_validation():
         DirectorConfig(delta_margin=0.0)
     with pytest.raises(ValueError):
         DirectorConfig(sign_convention="sideways")
+    with pytest.raises(ValueError, match="unknown continuous_calibration"):
+        DirectorConfig(continuous_calibration="loose")
 
 
 def test_unspecified_attributes_never_move():

@@ -250,6 +250,9 @@ def test_parse_conditioning_against_schema():
     from latentsteer import ConditioningError
     with pytest.raises(ConditioningError):
         parse_conditioning("style=", schema)
+    for cond in ("style=dress,,hair=brown", "style=dress,", ""):
+        with pytest.raises(ConditioningError, match="empty assignment"):
+            parse_conditioning(cond, schema)
     with pytest.raises(ConditioningError):
         parse_conditioning("ghost=1", schema)
     with pytest.raises(ConditioningError):
@@ -395,10 +398,14 @@ def test_cli_eval_modes_and_zero_trials(tmp_path, capsys):
     assert code == 0
     assert csv_path.read_text().startswith("attribute,metric,value")
 
+    cosine_csv = tmp_path / "cosine.csv"
     code = main(["eval", "--bundle", str(bundle_path), "--world", str(world_path),
-                 "--mode", "cosine"])
+                 "--mode", "cosine", "--out-csv", str(cosine_csv)])
     assert code == 0
     assert "style" in capsys.readouterr().out
+    header, style, smile = cosine_csv.read_text().splitlines()
+    assert header == "name,style,smile"
+    assert style.startswith("style,1.0,") and smile.endswith(",1.0")
 
     code = main(["eval", "--bundle", str(bundle_path), "--world", str(world_path),
                  "--mode", "latent", "--trials", "0"])
@@ -478,6 +485,13 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert len(lines) == 2  # 1.5 skipped as invalid
     err = capsys.readouterr().err
     assert "skipped cosine 1.5" in err
+
+
+def test_cli_sweep_with_a_cosine_that_is_not_a_number_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--cos", "a,b", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --cos must be a comma-separated list of reals")
+    assert not out.exists()
 
 
 def test_cli_unknown_command_exits_2():
