@@ -27,7 +27,7 @@ def test_equal_figures_compare_equal():
     c = eval_parity.compare(_figures(), _figures())
     assert c["reports"] == 2 and c["accuracies_equal"] and c["reports_differing"] == {}
     assert c["rmse_max_rel_diff"] == 0.0 and c["accuracy_max_z"] == 0.0
-    assert c["cli_outputs"] == 2 and c["cli_differing"] == []
+    assert c["cli_outputs"] == 2 and c["cli_differing"] == [] and c["cli_texture_only"] == []
     assert c["training"]["style"] == {"iterations": [7, 7], "metric_equal": True,
                                       "weights_rel_diff": 0.0, "intercepts_rel_diff": 0.0}
 
@@ -81,6 +81,42 @@ def test_cli_outputs_that_differ_by_a_byte_or_are_missing_are_listed():
     c = eval_parity.compare(_figures(), head)
     assert c["accuracies_equal"] and c["reports_differing"] == {}
     assert c["cli_differing"] == ["eval --mode latent", "eval --mode latent csv"]
+
+
+def _pgm(attribute_pixel=10, texture_pixel=20):
+    """A two-block P2 image, 16 wide and 8 high: one attribute block, then the texture block."""
+    row = " ".join([str(attribute_pixel)] * 8 + [str(texture_pixel)] * 8)
+    return "P2\n16 8\n255\n" + "\n".join([row] * 8) + "\n"
+
+
+def test_images_that_differ_only_in_the_texture_block_are_listed_apart():
+    base, head = _figures(), _figures()
+    for figures, texture in ((base, 20), (head, 21)):
+        figures["cli"]["generate request 0 after.pgm"] = _pgm(texture_pixel=texture)
+        figures["cli"]["generate request 0 before.pgm"] = _pgm()
+    base["cli"]["generate request 1 after.pgm"] = _pgm(attribute_pixel=10)
+    head["cli"]["generate request 1 after.pgm"] = _pgm(attribute_pixel=11, texture_pixel=21)
+    head["cli"]["eval --mode latent"] = "exit 0\nevaluation: latent \n"
+    c = eval_parity.compare(base, head)
+    assert c["cli_outputs"] == 5
+    assert c["cli_texture_only"] == ["generate request 0 after.pgm"]
+    assert c["cli_differing"] == ["eval --mode latent", "generate request 1 after.pgm"]
+
+
+def test_a_latent_moved_in_its_last_bit_changes_only_the_rendered_texture_block():
+    import numpy as np
+    from latentsteer import build_world, generate_image
+    from latentsteer.models import AttributeSchema
+    from latentsteer.persist import pgm_text
+    from latentsteer.world import WorldConfig
+
+    world = build_world(WorldConfig(dim=8, attributes=(AttributeSchema.binary("a", "n", "p"),
+                                                       AttributeSchema.continuous("v", 0.0, 1.0)),
+                                    seed=3))
+    z = np.full(8, 0.3)
+    before, after = (pgm_text(generate_image(world, v)) for v in (z, np.nextafter(z, 1.0)))
+    assert before != after
+    assert eval_parity._attribute_blocks(before) == eval_parity._attribute_blocks(after)
 
 
 def test_cli_outputs_name_their_files_the_same_way_on_every_run():

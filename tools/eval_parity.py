@@ -29,7 +29,10 @@ and their comparison: the report fields that differ by repr, the largest
 relative RMSE difference, the largest accuracy difference in standard errors
 (`accuracy_max_z`), per model whether the held-out metric is equal by repr
 and the largest relative weight and intercept differences, and the CLI
-outputs that differ byte for byte. Uses the standard library and numpy, and
+outputs that differ byte for byte. A PGM whose attribute blocks are equal
+and whose texture block (the last, square one, which hashes the bytes of
+the latent) differs is listed apart, under `cli_texture_only`: its latent
+moved in its last bits at most. Uses the standard library and numpy, and
 changes nothing under bench/.
 
 A change that keeps the eval's random stream should read no report field
@@ -174,6 +177,13 @@ def _z(base: float, head: float, trials: int) -> float:
     return abs(head - base) / se if se else (0.0 if head == base else math.inf)
 
 
+def _attribute_blocks(pgm: str) -> list[list[str]]:
+    """The pixel rows of a P2 image without its texture block, the last height-wide columns."""
+    _, size, _, *rows = pgm.splitlines()
+    width, height = map(int, size.split())
+    return [row.split()[:width - height] for row in rows]
+
+
 def compare(base: dict, head: dict) -> dict:
     """Which report fields differ by repr, and how far the accuracies and the N=10k fits moved."""
     differing, rmse_rel, z_max = {}, 0.0, 0.0
@@ -201,11 +211,19 @@ def compare(base: dict, head: dict) -> dict:
                           "weights_rel_diff": _relative(b["weights"], h["weights"]),
                           "intercepts_rel_diff": _relative(b["intercepts"], h["intercepts"])}
     accuracies_equal = not any({"accuracy", "joint", "missing"} & set(f) for f in differing.values())
-    cli_differing = [name for name, text in base["cli"].items() if head["cli"].get(name) != text]
+    cli_differing, texture_only = [], []
+    for name, text in base["cli"].items():
+        other = head["cli"].get(name)
+        if other == text:
+            continue
+        texture = (other is not None and name.endswith(".pgm")
+                   and _attribute_blocks(other) == _attribute_blocks(text))
+        (texture_only if texture else cli_differing).append(name)
     return {"reports": len(base["reports"]), "accuracies_equal": accuracies_equal,
             "reports_differing": differing, "rmse_max_rel_diff": rmse_rel,
             "accuracy_max_z": z_max, "training": training,
-            "cli_outputs": len(base["cli"]), "cli_differing": cli_differing}
+            "cli_outputs": len(base["cli"]), "cli_differing": cli_differing,
+            "cli_texture_only": texture_only}
 
 
 def _without_weights(figures: dict) -> dict:
