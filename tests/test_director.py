@@ -82,11 +82,6 @@ def test_choose_vector_cases():
         ChooseVector(("style",), (2,))
 
 
-def test_a_spec_naming_one_attribute_in_both_maps_is_rejected():
-    with pytest.raises(ConditioningError, match="both discrete and continuous"):
-        ConditioningSpec({"flag": "pos"}, {"flag": 0.5})
-
-
 @pytest.mark.parametrize("Z, n_specs, error, message", [
     (np.zeros(2), 2, ValueError, "finite \\(n, dim\\) array"),
     (np.array([[0.0, np.nan]]), 1, ValueError, "finite \\(n, dim\\) array"),
@@ -311,6 +306,8 @@ def test_scale_invariance_of_discrete_moves():
 
 def test_condition_validates_spec():
     bundle = binary_bundle()
+    with pytest.raises(ConditioningError, match="both discrete and continuous"):
+        ConditioningSpec({"flag": "pos"}, {"flag": 0.5})
     with pytest.raises(ConditioningError):
         condition(np.zeros(2), ConditioningSpec({"ghost": "pos"}), bundle)
     with pytest.raises(ConditioningError):

@@ -486,9 +486,7 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "skipped cosine 1.5" in err
 
-
-def test_cli_sweep_with_a_cosine_that_is_not_a_number_exits_2(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
+    out.unlink()
     assert main(["sweep", "--cos", "a,b", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --cos must be a comma-separated list of reals")
     assert not out.exists()
