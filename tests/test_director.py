@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from latentsteer import (
     AttributeSchema,
-    ConditioningError,
     ChooseVector,
+    ConditioningError,
     ConditioningSpec,
     DegenerateModelError,
     DimensionMismatchError,
@@ -427,9 +427,9 @@ def _check_report(bundle, z, spec, report):
     before = latent_labels(bundle, z)
     bits, rows = {}, {}
     for attr in bundle.schema:
-        name, model = attr.name, bundle.models[attr.name]
         if not attr.is_discrete:
             continue
+        name, model = attr.name, bundle.models[attr.name]
         bits[name] = int(name in spec.discrete and spec.discrete[name] != before.discrete[name])
         if attr.kind == "binary":
             w, b = model.weights[0], model.intercepts[0]
