@@ -11,7 +11,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .director import ConditioningSpec, DirectorConfig, condition
+from .director import ConditioningSpec, DirectorConfig, _validate_spec, condition
 from .errors import (
     ConditioningError,
     DegenerateModelError,
@@ -61,8 +61,8 @@ def _add_director_flags(p: argparse.ArgumentParser) -> None:
 
 
 def parse_conditioning(cond: str, schema) -> ConditioningSpec:
-    """Parse 'name=value,name=value' against a schema."""
-    by_name = {a.name: a for a in schema}
+    """Parse 'name=value,name=value' against a schema; `_validate_spec` checks names and values."""
+    continuous_attrs = {a.name: a for a in schema if not a.is_discrete}
     discrete: dict[str, str] = {}
     continuous: dict[str, float] = {}
     for token in cond.split(","):
@@ -73,29 +73,22 @@ def parse_conditioning(cond: str, schema) -> ConditioningSpec:
         name, value = name.strip(), value.strip()
         if not sep or not name or not value:
             raise ConditioningError(f"malformed assignment {token!r}; expected name=value")
-        attr = by_name.get(name)
-        if attr is None:
-            raise ConditioningError(
-                f"unknown attribute {name!r}; legal attributes: {sorted(by_name)}"
-            )
         if name in discrete or name in continuous:
             raise ConditioningError(f"attribute {name!r} is assigned more than once in {cond!r}")
-        if attr.is_discrete:
-            if value not in attr.classes:
-                raise ConditioningError(
-                    f"unknown class {value!r} for attribute {name!r}; "
-                    f"legal classes: {list(attr.classes)}"
-                )
+        attr = continuous_attrs.get(name)
+        if attr is None:  # a discrete or an unknown name, which the validator tells apart
             discrete[name] = value
-        else:
-            try:
-                continuous[name] = float(value)
-            except ValueError:
-                raise ConditioningError(
-                    f"attribute {name!r} needs a numeric target in "
-                    f"[{attr.lo}, {attr.hi}], got {value!r}"
-                ) from None
-    return ConditioningSpec(discrete, continuous)
+            continue
+        try:
+            continuous[name] = float(value)
+        except ValueError:
+            raise ConditioningError(
+                f"attribute {name!r} needs a numeric target in "
+                f"[{attr.lo}, {attr.hi}], got {value!r}"
+            ) from None
+    spec = ConditioningSpec(discrete, continuous)
+    _validate_spec(spec, tuple(schema))
+    return spec
 
 
 def cmd_world_init(args) -> int:
@@ -169,8 +162,6 @@ def cmd_eval(args) -> int:
     if args.mode == "cosine":
         report = cosine_report(bundle)
     else:
-        if args.trials < 1:
-            raise ConditioningError(f"--trials must be at least 1, got {args.trials}")
         cfg = EvalConfig(seed=args.seed, director=_director_config(args), rounds=args.rounds)
         runner = eval_latent_modification if args.mode == "latent" else eval_end_to_end
         report = runner(bundle, world, args.trials, cfg)

@@ -33,8 +33,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, DegenerateModelError, DimensionMismatchError
-from .geometry import as_latent
+from .errors import ConditioningError, DegenerateModelError
+from .geometry import _latent_rows, as_latent
 from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, CompiledBundle, ModelBundle, decide
 from .world import AttributeLabels
 
@@ -273,16 +273,6 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
     return z_work - Z, count
 
 
-def _latent_rows(Z, m: CompiledBundle) -> np.ndarray:
-    """Z as a float64 (n, dim) array, checked finite and of the bundle's dim."""
-    Z = np.array(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] < 2 or not np.isfinite(Z).all():
-        raise ValueError(f"latents must be a finite (n, dim) array with dim >= 2, got shape {Z.shape}")
-    if m.dim is not None and Z.shape[1] != m.dim:
-        raise DimensionMismatchError(m.dim, Z.shape[1], what="latent vector")
-    return Z
-
-
 def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
                     cfg: DirectorConfig = DirectorConfig()) -> BatchUpdate:
     """Apply one combined conditioning step to every row of Z, row i toward specs[i].
@@ -295,7 +285,7 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
     every row is steered as it would be alone.
     """
     m = bundle.compiled
-    Z = _latent_rows(Z, m)
+    Z = _latent_rows(Z, m.dim)
     if len(specs) != len(Z):
         raise ValueError(f"{len(Z)} latents but {len(specs)} conditioning specs")
     for spec in specs:

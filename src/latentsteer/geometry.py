@@ -29,17 +29,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _latent_rows(values, dim: int | None = None) -> np.ndarray:
+    """values as a C-contiguous float64 (n, dim) array, checked finite, with dim >= 2 and, when
+    given, the model's or world's dim. An array that already fits is returned, not copied."""
+    Z = np.ascontiguousarray(values, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] < 2:
+        raise ValueError(f"latents must be a finite (n, dim) array with dim >= 2, got shape {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise ValueError("latents must be a finite (n, dim) array: found NaN or Inf entries")
+    if dim is not None and Z.shape[1] != dim:
+        raise DimensionMismatchError(dim, Z.shape[1], what="latent vector")
+    return Z
+
+
 def as_latent(values, expected_dim: int | None = None) -> np.ndarray:
-    """Coerce to a read-only float64 latent vector, checking shape and finiteness."""
+    """Coerce to a read-only float64 latent vector, checked as a row of `_latent_rows`."""
     z = np.array(values, dtype=np.float64, copy=True)
     if z.ndim != 1:
         raise ValueError(f"latent vector must be 1-D, got shape {z.shape}")
-    if z.size < 2:
-        raise ValueError(f"latent dimension must be at least 2, got {z.size}")
-    if not np.isfinite(z).all():
-        raise ValueError("latent vector contains NaN or Inf entries")
-    if expected_dim is not None and z.size != expected_dim:
-        raise DimensionMismatchError(expected_dim, z.size, what="latent vector")
+    _latent_rows(z[None], expected_dim)
     return _frozen(z)
 
 
@@ -83,10 +91,7 @@ class Hyperplane:
 
     def score(self, z: np.ndarray) -> float:
         """direction . z + intercept (positive on the direction side)."""
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.dim,):
-            raise DimensionMismatchError(self.dim, z.size, what="latent vector")
-        return float(self.direction @ z + self.intercept)
+        return float(self.direction @ as_latent(z, self.dim) + self.intercept)
 
 
 def signed_distance(z: np.ndarray, h: Hyperplane) -> float:

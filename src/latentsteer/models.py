@@ -23,11 +23,10 @@ import numpy as np
 
 from .errors import (
     BundleIncompleteError,
-    DimensionMismatchError,
     DivergenceError,
     UnlearnableAttributeError,
 )
-from .geometry import Hyperplane
+from .geometry import Hyperplane, _latent_rows, as_latent
 
 __all__ = [
     "AttributeSchema",
@@ -204,10 +203,7 @@ class LatentModel:
 
     def predict(self, z):
         """The class of z for a discrete model, its value for a continuous one."""
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.dim,):
-            raise DimensionMismatchError(self.dim, z.size, what="latent vector")
-        scores = self.weights @ z + self.intercepts
+        scores = self.weights @ as_latent(z, self.dim) + self.intercepts
         if self.kind == CONTINUOUS:
             return float(scores[0])
         return self.classes[decide(self.kind, scores[None, :])[0]]
@@ -264,15 +260,6 @@ def _softmax_terms(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray,
 # --------------------------------------------------------------------------
 # fitting
 # --------------------------------------------------------------------------
-
-def _as_matrix(latents) -> np.ndarray:
-    X = np.asarray(latents, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"latents must be a (n, dim) array, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("latents contain NaN or Inf entries")
-    return X
-
 
 def _split(n: int, cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
     n_train = int(np.floor(n * cfg.split_fraction))
@@ -377,7 +364,7 @@ def _fit_classes(latents, labels: list[str], names: tuple[str, ...], cfg: Traini
     Returns W, b, the test fold's latents and class indices, and the fit
     record, whose test_accuracy the caller fills in with its decision rule.
     """
-    X = _as_matrix(latents)
+    X = _latent_rows(latents)
     if len(labels) != X.shape[0]:
         raise ValueError(f"{X.shape[0]} latents but {len(labels)} labels")
     unknown = sorted(set(labels) - set(names))
@@ -443,7 +430,7 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
     The ridge term is a fixed 1e-6 on the Gram matrix, just enough to keep it
     solvable; held-out RMSE is recorded on the split's test fold.
     """
-    X = _as_matrix(latents)
+    X = _latent_rows(latents)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (X.shape[0],):
         raise ValueError(f"{X.shape[0]} latents but targets have shape {y.shape}")

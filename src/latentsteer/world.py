@@ -27,7 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LayoutError, WorldConfigError
+from .errors import LayoutError, WorldConfigError
+from .geometry import _latent_rows, as_latent
 from .models import CONTINUOUS, MULTICLASS, AttributeSchema, decide
 
 __all__ = [
@@ -142,6 +143,12 @@ class SyntheticWorld:
         return m
 
 
+def _check_pixels(p: np.ndarray) -> None:
+    """Raises LayoutError unless every pixel lies in [0, 1]: min and max propagate NaN, which fails."""
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise LayoutError("pixel values must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class SyntheticImage:
     """Horizontal strip of 8x8 blocks with pixel values in [0, 1]."""
@@ -152,8 +159,7 @@ class SyntheticImage:
         p = np.array(self.pixels, dtype=np.float64, copy=True)
         if p.ndim != 2 or p.shape[0] != BLOCK_SIZE or p.shape[1] % BLOCK_SIZE != 0:
             raise LayoutError(f"pixels must be ({BLOCK_SIZE}, {BLOCK_SIZE}*blocks), got {p.shape}")
-        if p.min() < 0.0 or p.max() > 1.0:
-            raise LayoutError("pixel values must lie in [0, 1]")
+        _check_pixels(p)
         p.flags.writeable = False
         object.__setattr__(self, "pixels", p)
 
@@ -251,10 +257,8 @@ def build_world(cfg: WorldConfig) -> SyntheticWorld:
 
 
 def _block_means(world: SyntheticWorld, Z) -> np.ndarray:
-    """(n, attributes): the value every pixel of each attribute block of `render_batch` holds."""
-    Z = np.ascontiguousarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != world.latent_dim:
-        raise DimensionMismatchError(world.latent_dim, Z.shape[-1], what="latent vector")
+    """(n, attributes): the value every pixel of each attribute block of `render_batch` holds,
+    for latents checked by `_latent_rows`."""
     S = np.einsum("nd,sd->ns", Z, world.directions) + world.intercepts
     attrs = world.config.attributes
     means = np.empty((len(Z), len(attrs)))
@@ -277,7 +281,7 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
     One einsum scores a row the same way alone or in a batch, so row i is
     the render of Z[i] alone. The texture block hashes each latent's bytes.
     """
-    Z = np.ascontiguousarray(Z, dtype=np.float64)
+    Z = _latent_rows(Z, world.latent_dim)
     means = _block_means(world, Z)
     pixels = np.empty((len(Z), BLOCK_SIZE, means.shape[1] + 1, BLOCK_SIZE))
     pixels[:, :, :-1, :] = means[:, None, :, None]
@@ -362,6 +366,7 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     n = len(pixels)
     if pixels.shape[1:] != (BLOCK_SIZE, BLOCK_SIZE * (len(attrs) + 1)):
         raise LayoutError(f"images of shape {pixels.shape[1:]} do not hold {len(attrs) + 1} blocks")
+    _check_pixels(pixels)
     # each block's pixels copied together, so its mean rounds the same in any batch
     blocks = pixels.reshape(n, BLOCK_SIZE, -1, BLOCK_SIZE)[:, :, :-1].transpose(0, 2, 1, 3)
     return _read_means(world, blocks.reshape(n, len(attrs), -1).mean(axis=2), noise_seeds,
@@ -415,14 +420,14 @@ def _label_latents(world: SyntheticWorld, Z: np.ndarray, noise_seeds,
     Each block's mean is taken over a broadcast view of 64 copies of its
     value, which rounds as read_batch's mean of the rendered block does.
     """
-    means = _block_means(world, Z)
+    means = _block_means(world, _latent_rows(Z, world.latent_dim))
     reads = np.broadcast_to(means[..., None], (*means.shape, BLOCK_SIZE * BLOCK_SIZE)).mean(axis=2)
     return _read_means(world, reads, noise_seeds, label_noise)
 
 
 def generate_image(world: SyntheticWorld, z) -> SyntheticImage:
     """Render one latent: `render_batch` on a batch of one."""
-    return SyntheticImage(render_batch(world, np.asarray(z, dtype=np.float64)[None])[0])
+    return SyntheticImage(render_batch(world, as_latent(z, world.latent_dim)[None])[0])
 
 
 def oracle_label(world: SyntheticWorld, image: SyntheticImage, noise_seed: int,

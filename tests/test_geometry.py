@@ -142,6 +142,10 @@ def test_as_latent_validation():
         as_latent([1.0])
     with pytest.raises(DimensionMismatchError):
         as_latent([1.0, 2.0], expected_dim=3)
+    with pytest.raises(ValueError, match="must be 1-D"):
+        as_latent([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        signed_distance(np.array([np.inf, 0.0]), Hyperplane(np.array([1.0, 0.0]), 0.0))
 
 
 def test_hyperplane_arrays_read_only():

@@ -168,6 +168,20 @@ def test_fit_regressor_beats_mean_predictor_on_sigmoid_targets():
     assert model.training_meta.test_rmse < mean_rmse
 
 
+@pytest.mark.parametrize("latents, message", [
+    (np.array([[0.0, np.nan]] * 10), "NaN or Inf"),
+    (np.array([[np.inf, 0.0]] * 10), "NaN or Inf"),
+    (np.zeros((10, 1)), "dim >= 2, got shape \\(10, 1\\)"),
+    (np.zeros(10), "got shape \\(10,\\)"),
+], ids=["nan", "inf", "one column", "1-d"])
+@pytest.mark.parametrize("fit", ["binary", "multiclass", "regressor"])
+def test_fits_reject_latents_that_are_not_a_finite_matrix(fit, latents, message):
+    labels = {"binary": ["n", "p"] * 5, "multiclass": ["a", "b"] * 5, "regressor": [0.5] * 10}[fit]
+    fitter = {"binary": fit_binary, "multiclass": fit_multiclass, "regressor": fit_regressor}[fit]
+    with pytest.raises(ValueError, match=message):
+        fitter(latents, labels, TrainingConfig(seed=0))
+
+
 def test_fit_regressor_too_few_samples():
     with pytest.raises(UnlearnableAttributeError):
         fit_regressor(np.ones((1, 4)), [1.0], TrainingConfig(seed=0))
@@ -187,6 +201,8 @@ def test_predict_discrete_and_value():
 
     with pytest.raises(DimensionMismatchError):
         binary.predict(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        mc.predict(np.array([np.nan, 0.0, 0.0]))  # argmax would read NaN scores as c0
 
 
 def test_decision_invariance_under_positive_scaling():

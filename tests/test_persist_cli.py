@@ -253,10 +253,15 @@ def test_parse_conditioning_against_schema():
     for cond in ("style=dress,,hair=brown", "style=dress,", ""):
         with pytest.raises(ConditioningError, match="empty assignment"):
             parse_conditioning(cond, schema)
-    with pytest.raises(ConditioningError):
-        parse_conditioning("ghost=1", schema)
-    with pytest.raises(ConditioningError):
+    # names, classes and ranges are the director's checks, with its messages
+    with pytest.raises(ConditioningError, match="unknown attribute 'ghost'; legal attributes: "
+                                                "\\['hair', 'smile', 'style'\\]"):
+        parse_conditioning("style=dress,ghost=1", schema)
+    with pytest.raises(ConditioningError, match="unknown class 'gown' for attribute 'style'; "
+                                                "legal classes: \\['tee', 'dress'\\]"):
         parse_conditioning("style=gown", schema)
+    with pytest.raises(ConditioningError, match="target 2.0 for attribute 'smile' outside"):
+        parse_conditioning("smile=2", schema)
     with pytest.raises(ConditioningError):
         parse_conditioning("smile=often", schema)
     for cond in ("style=dress,style=tee", "style=dress, style=dress",
@@ -410,6 +415,7 @@ def test_cli_eval_modes_and_zero_trials(tmp_path, capsys):
     code = main(["eval", "--bundle", str(bundle_path), "--world", str(world_path),
                  "--mode", "latent", "--trials", "0"])
     assert code == 2
+    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
 
     # injected ground-truth bundle on an orthogonal world scores perfectly
     from latentsteer import ground_truth_bundle, load_world, save_bundle

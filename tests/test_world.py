@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latentsteer import (
     AttributeSchema,
+    DimensionMismatchError,
     LayoutError,
     SyntheticImage,
     WorldConfig,
@@ -222,10 +223,39 @@ def test_oracle_rejects_wrong_layout():
 
 
 def test_image_pixel_bounds_enforced():
-    with pytest.raises(LayoutError):
-        SyntheticImage(np.full((BLOCK_SIZE, BLOCK_SIZE), 1.5))
+    world = build_world(simple_config())
+    for bad in (1.5, -0.5, np.nan):
+        with pytest.raises(LayoutError, match="must lie in \\[0, 1\\]"):
+            SyntheticImage(np.full((BLOCK_SIZE, BLOCK_SIZE), bad))
+        pixels = render_batch(world, sample_latents(3, world.latent_dim, 0))
+        pixels[1, 2, 5] = bad
+        with pytest.raises(LayoutError, match="must lie in \\[0, 1\\]"):
+            read_batch(world, pixels, [0, 1, 2])
     with pytest.raises(LayoutError):
         SyntheticImage(np.zeros((BLOCK_SIZE, BLOCK_SIZE + 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_latents_are_rejected_before_rendering(bad):
+    world = build_world(simple_config())
+    Z = sample_latents(3, world.latent_dim, 0).copy()
+    Z[1, 4] = bad
+    for render in (lambda: generate_image(world, Z[1]), lambda: render_batch(world, Z),
+                   lambda: _label_latents(world, Z, [0, 1, 2])):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            render()
+
+
+def test_generate_image_takes_one_latent_vector():
+    world = build_world(simple_config())
+    with pytest.raises(ValueError, match="must be 1-D, got shape \\(1, 16\\)"):
+        generate_image(world, np.zeros((1, 16)))
+    with pytest.raises(DimensionMismatchError, match="expected 16, got 15"):
+        generate_image(world, np.zeros(15))
+    with pytest.raises(DimensionMismatchError, match="expected 16, got 15"):
+        render_batch(world, np.zeros((2, 15)))
+    with pytest.raises(ValueError, match="finite \\(n, dim\\) array"):
+        render_batch(world, np.zeros(16))
 
 
 def test_world_config_validation():
