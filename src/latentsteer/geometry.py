@@ -116,12 +116,22 @@ def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
     return _frozen(z + signed_distance(z, h) * unit_direction(h))
 
 
+def _exponent_scaled(v: np.ndarray) -> np.ndarray:
+    """v (each row of a 2-D v) times the power of two that brings its largest |entry| into [0.5, 1).
+
+    Scaling by a power of two is exact, so a cosine computed from the result
+    equals the unscaled one wherever that neither overflows nor underflows.
+    """
+    return np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1])
+
+
 def cosine_similarity(a, b) -> float:
     """a . b / (|a| |b|), clipped into [-1, 1]."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(a.size, b.size, what="direction vector")
+    a, b = _exponent_scaled(a), _exponent_scaled(b)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -137,6 +147,7 @@ def pairwise_cosines(vectors: np.ndarray) -> np.ndarray:
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-D stack of vectors, got shape {v.shape}")
+    v = _exponent_scaled(v)
     norms = np.linalg.norm(v, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateModelError("cosine matrix over a zero vector is undefined")

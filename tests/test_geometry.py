@@ -89,6 +89,16 @@ def test_cosine_symmetry_and_positive_scale_invariance(a, b, scale):
     assert cosine_similarity(scale * a, b) == pytest.approx(c, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [-900, 900])
+def test_cosines_of_vectors_scaled_by_a_power_of_two_are_byte_equal(k):
+    # unscaled, the squares in the norms overflow (k = 900) or underflow to zero (k = -900)
+    v = np.random.default_rng(21).standard_normal((4, 9))
+    scaled = v * 2.0**k
+    assert pairwise_cosines(scaled).tobytes() == pairwise_cosines(v).tobytes()
+    assert cosine_similarity(scaled[0], scaled[1]) == cosine_similarity(v[0], v[1])
+    assert cosine_similarity(scaled[0], v[1]) == cosine_similarity(v[0], v[1])
+
+
 def test_projection_lands_on_hyperplane():
     rng = np.random.default_rng(7)
     for dim in (2, 8, 64):

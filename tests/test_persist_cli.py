@@ -817,6 +817,23 @@ def test_cli_single_field_value_mutation_exits_0_or_2(mutation, command):
         assert err.startswith("error:")
 
 
+def test_cli_cosines_of_a_direction_scaled_by_a_power_of_two_are_unchanged(tmp_path, capsys):
+    outputs = []
+    for scale in (1.0, 2.0**900):
+        payloads = trained_payloads()
+        style = payloads["bundle"]["models"]["style"]
+        style["direction"] = [v * scale for v in style["direction"]]
+        for name, payload in payloads.items():
+            (tmp_path / f"{name}.json").write_bytes(json_bytes(payload))
+        code = main(["eval", "--bundle", str(tmp_path / "bundle.json"), "--world",
+                     str(tmp_path / "world.json"), "--mode", "cosine",
+                     "--out-csv", str(tmp_path / "cosine.csv")])
+        assert code == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / "cosine.csv").read_text()))
+    assert outputs[1] == outputs[0]
+    assert "0.000" not in outputs[0][0].splitlines()[1]  # style's row: off-diagonal cosines nonzero
+
+
 # model fields whose every number a scale mutation sets to one value
 SCALED_FIELDS = {
     "style.direction": ("bundle", "models", "style", "direction"),
