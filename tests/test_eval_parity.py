@@ -130,6 +130,10 @@ def test_cli_outputs_name_their_files_the_same_way_on_every_run():
     bundle = run_training(world, 300, TrainingConfig(epochs=50, seed=1))
     first = eval_parity.cli_outputs(world, bundle)
     assert first == eval_parity.cli_outputs(world, bundle)
+    assert len(first) == 39
+    cosine = first["eval --mode cosine"]
+    assert cosine.startswith("exit 0\n") and cosine.endswith("csv written to cosine.csv\n")
+    assert first["eval --mode cosine csv"].splitlines()[0] == "name,a,v"
     assert first["eval --mode latent --rounds 1"].startswith("exit 0\nevaluation: latent")
     assert "csv written to eval.csv" in first["eval --mode end2end --rounds 3"]
     assert first["sweep --cos 0,0.57,0.9 csv"].startswith("cosine,alpha_accuracy")

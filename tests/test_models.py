@@ -19,6 +19,7 @@ from latentsteer import (
     fit_regressor,
     sample_latents,
 )
+from latentsteer import models
 from latentsteer.models import (GRAD_TOL, HESSIAN_ROWS, _newton, _split,
                                 logistic_loss_and_grad, softmax_loss_and_grad)
 
@@ -182,6 +183,23 @@ def test_fits_reject_latents_that_are_not_a_finite_matrix(fit, latents, message)
         fitter(latents, labels, TrainingConfig(seed=0))
 
 
+@pytest.mark.parametrize("fit, labels, kwargs, error, message", [
+    (fit_binary, ["n", "p"] * 4, {}, ValueError, "10 latents but 8 labels"),
+    (fit_multiclass, ["a", "b", "z", "b", "a"] * 2, {"class_names": ("a", "b")},
+     UnlearnableAttributeError, "labels outside the class set: \\['z'\\]"),
+    (fit_binary, ["n", "p"] * 5, {"positive_class": "gown"},
+     UnlearnableAttributeError, "positive class 'gown' absent from labels \\['n', 'p'\\]"),
+    (fit_multiclass, ["a"] * 10, {}, UnlearnableAttributeError,
+     "need at least 2 classes, got \\['a'\\]"),
+    (fit_regressor, np.zeros((10, 1)), {}, ValueError,
+     "10 latents but targets have shape \\(10, 1\\)"),
+], ids=["label count", "unknown label", "absent positive class", "one class", "target shape"])
+def test_fits_reject_labels_that_do_not_fit_the_latents(fit, labels, kwargs, error, message):
+    X = np.random.default_rng(0).standard_normal((10, 3))
+    with pytest.raises(error, match=message):
+        fit(X, labels, TrainingConfig(seed=0), **kwargs)
+
+
 def test_fit_regressor_too_few_samples():
     with pytest.raises(UnlearnableAttributeError):
         fit_regressor(np.ones((1, 4)), [1.0], TrainingConfig(seed=0))
@@ -277,6 +295,10 @@ def test_bundle_requires_model_per_attribute():
         ModelBundle(schema, {"ghost": ghost, "a": binary})  # a model the schema does not name
     with pytest.raises(BundleIncompleteError):
         ModelBundle(schema, {"a": LatentModel("binary", [[1.0, 0.0]], [0.0], ("n", "q"))})
+    with pytest.raises(BundleIncompleteError, match="no model for attribute 'ghost'"):
+        ModelBundle(schema, {"a": binary}).model_for("ghost")
+    with pytest.raises(BundleIncompleteError, match="empty bundle has no latent dimension"):
+        ModelBundle((), {}).latent_dim
 
 
 @pytest.mark.parametrize("kind,weights,intercepts,classes", [
@@ -328,11 +350,19 @@ def test_bundle_rejects_mismatched_dims():
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(epochs=0)
+    with pytest.raises(ValueError, match="l2_penalty must be non-negative"):
+        TrainingConfig(l2_penalty=-1e-4)
     with pytest.raises(ValueError):
         TrainingConfig(split_fraction=1.0)
 
 
 def test_attribute_schema_validation():
+    with pytest.raises(ValueError, match="attribute name must be non-empty"):
+        AttributeSchema.binary("", "n", "p")
+    with pytest.raises(ValueError, match="unknown attribute kind 'ordinal'"):
+        AttributeSchema("o", "ordinal", ("a", "b"))
+    with pytest.raises(ValueError, match="binary attribute 'b' needs exactly 2 classes"):
+        AttributeSchema("b", "binary", ("a", "b", "c"))
     with pytest.raises(ValueError):
         AttributeSchema.multiclass("m", ("a", "b"))
     with pytest.raises(ValueError):
@@ -417,6 +447,42 @@ def test_unpenalized_fit_on_separable_data_stays_finite():
     assert binary.training_meta.test_accuracy == 1.0 == multi.training_meta.test_accuracy
     for z in X:
         assert binary.predict(z) == multi.predict(z)
+
+
+def test_newton_halves_a_step_that_raises_the_loss(monkeypatch):
+    # far points with flipped labels: a full Newton step from the fourth iterate overshoots
+    rng = np.random.default_rng(268)
+    X = rng.standard_normal((23, 3))
+    y = (X[:, 0] > 0).astype(int)
+    far = rng.choice(23, 3, replace=False)
+    X[far] *= 20.0
+    y[far] = 1 - y[far]
+    losses = []
+    terms = models._softmax_terms
+
+    def recorded(*args):
+        out = terms(*args)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(models, "_softmax_terms", recorded)
+    _, _, loss, grad_norm, steps = _newton(X, np.eye(2)[y], 0.0, 50)
+    accepted, rejected = [losses[0]], []
+    for trial in losses[1:]:
+        (accepted if trial < accepted[-1] else rejected).append(trial)
+    assert rejected and min(rejected) > accepted[3]  # trials from the fourth iterate rose
+    assert len(accepted) == steps + 1 and accepted[-1] == loss  # the loss still falls every step
+    assert grad_norm <= GRAD_TOL
+
+
+def test_newton_stops_when_no_halving_lowers_the_loss():
+    # at latents of scale 1e8 the loss stops falling in its last bits while max |grad| is
+    # still far above GRAD_TOL: forty halvings lower nothing, and the fit stops early
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((23, 3)) * 1e8
+    y = (X[:, 0] + 1e8 * rng.standard_normal(23) > 0).astype(int)
+    _, _, loss, grad_norm, steps = _newton(X, np.eye(2)[y], 0.0, 100)
+    assert steps < 100 and grad_norm > GRAD_TOL and np.isfinite(loss)
 
 
 def _reference_newton(X, Y, l2, max_iter):

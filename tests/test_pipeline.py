@@ -310,6 +310,21 @@ def test_eval_rejects_zero_trials():
         eval_latent_modification(bundle, world, 0)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EvalConfig(rounds=0), ValueError, "rounds must be at least 1"),
+    (lambda: eval_latent_modification(ground_truth_bundle(orthogonal_world(dim=16)),
+                                      orthogonal_world(), 10),
+     WorldConfigError, "bundle latent dim 16 does not match world dim 32"),
+    (lambda: pipeline.CosineReport(("a", "b"), np.eye(3)), ValueError,
+     "matrix shape does not match the name list"),
+    (lambda: cosine_report(ModelBundle((), {})), ValueError,
+     "cosine report needs a non-empty bundle"),
+], ids=["rounds", "dims", "cosine shape", "empty bundle"])
+def test_eval_and_cosine_report_reject_inputs_they_cannot_read(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_cosine_report_identity_world():
     world = orthogonal_world(dim=64, seed=14)
     bundle = run_training(world, 10000, TrainingConfig(epochs=500, seed=6))
@@ -362,6 +377,9 @@ def test_sweep_collects_invalid_cosines():
     result = sweep_entanglement([0.0, 1.2], trials=200, n_samples=800, cfg=cfg)
     assert len(result.rows) == 1
     assert len(result.errors) == 1 and result.errors[0][0] == 1.2
+    # a run that raises is collected, not only a cosine outside (-1, 1)
+    result = sweep_entanglement([0.0], trials=200, n_samples=50, cfg=cfg)
+    assert result.rows == () and result.errors == ((0.0, "n_samples must be at least 100, got 50"),)
 
 
 def test_sweep_empty_values_gives_header_only_csv():

@@ -10,6 +10,7 @@ from latentsteer import (
     DimensionMismatchError,
     LayoutError,
     SyntheticImage,
+    SyntheticWorld,
     WorldConfig,
     WorldConfigError,
     build_world,
@@ -81,6 +82,12 @@ def test_entanglement_psd_boundary():
     near_one = np.array([[1.0, 0.999999], [0.999999, 1.0]])
     world = build_world(WorldConfig(dim=8, attributes=two_binary, entanglement=near_one, seed=1))
     assert world.realized_entanglement()[0, 1] == pytest.approx(0.999999, abs=1e-6)
+    # singular: Cholesky fails, and a 1e-12 jitter on the diagonal factors it
+    ones = np.ones((2, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(ones)
+    world = build_world(WorldConfig(dim=8, attributes=two_binary, entanglement=ones, seed=1))
+    assert world.realized_entanglement()[0, 1] == pytest.approx(1.0 / (1.0 + 1e-12), abs=1e-15)
 
     bad = np.array([[1.0, 1.2], [1.2, 1.0]])
     with pytest.raises(WorldConfigError) as exc:
@@ -99,6 +106,9 @@ def test_entanglement_shape_and_symmetry_validation():
     asym = np.array([[1.0, 0.3], [0.1, 1.0]])
     with pytest.raises(WorldConfigError):
         build_world(WorldConfig(dim=8, attributes=two_binary, entanglement=asym, seed=1))
+    with pytest.raises(WorldConfigError, match="unit diagonal"):
+        build_world(WorldConfig(dim=8, attributes=two_binary, entanglement=np.diag([2.0, 1.0]),
+                                seed=1))
 
 
 def test_build_world_deterministic():
@@ -125,6 +135,22 @@ def test_generate_image_layout_and_determinism():
     assert img.pixels.min() >= 0.0 and img.pixels.max() <= 1.0
     img2 = generate_image(world, z)
     np.testing.assert_array_equal(img.pixels, img2.pixels)
+    for i in (-1, 4):
+        with pytest.raises(LayoutError, match=f"block index {i} out of range for 4 blocks"):
+            img.block(i)
+
+
+def test_a_world_checks_its_directions_against_its_slots():
+    world = build_world(simple_config())
+    d, c, slots = world.directions, world.intercepts, world.slots
+    for directions, intercepts, message in ((d[:2], c, "do not match the slot layout"),
+                                            (d, c[:2], "do not match the slot layout"),
+                                            (2.0 * d, c, "must be unit norm")):
+        with pytest.raises(WorldConfigError, match=message):
+            SyntheticWorld(world.config, directions, intercepts, slots)
+    assert world.slot_index("pose") == 1
+    with pytest.raises(KeyError, match="no ground-truth direction for \\('pose', 'front'\\)"):
+        world.slot_index("pose", "front")
 
 
 def test_binary_block_saturates_deep_in_half_space():
@@ -259,6 +285,8 @@ def test_generate_image_takes_one_latent_vector():
 
 
 def test_world_config_validation():
+    with pytest.raises(WorldConfigError, match="dim must be at least 2, got 1"):
+        simple_config(dim=1)
     with pytest.raises(WorldConfigError):
         WorldConfig(dim=16, attributes=(), seed=0)
     with pytest.raises(WorldConfigError):

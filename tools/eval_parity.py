@@ -16,13 +16,14 @@ training seed 3:
 - run_training at N=10,000, capped at 1,000 Newton steps: per model the
   held-out metric, iterations, final loss, max |grad|, weights and
   intercepts;
-- the CLI's output: the text and the `--out-csv` file of `eval --mode
-  latent|end2end` on the N=2,000 bundle (seed 1, rounds 1 and 3), the text
-  and CSV of a small `sweep`, and the text and both PGMs of repeated
-  in-process `generate --dump-image` requests. The requests run three times
-  over: on the N=2,000 bundle, on the world's ground-truth bundle written
-  over the same file, and on the N=2,000 bundle written back, so a loader
-  that served a stale bundle would show.
+- the CLI's output, 39 texts and files: the text and the `--out-csv` file
+  of `eval --mode latent|end2end` on the N=2,000 bundle (seed 1, rounds 1
+  and 3) and of `eval --mode cosine` on it, the text and CSV of a small
+  `sweep`, and the text and both PGMs of repeated in-process
+  `generate --dump-image` requests. The requests run three times over: on
+  the N=2,000 bundle, on the world's ground-truth bundle written over the
+  same file, and on the N=2,000 bundle written back, so a loader that
+  served a stale bundle would show.
 
 The output holds both revisions' figures (weights and CLI output left out)
 and their comparison: the report fields that differ by repr, the largest
@@ -138,6 +139,10 @@ def cli_outputs(world, bundle) -> dict:
                                         "--mode", mode, "--trials", "2000", "--seed", "1",
                                         "--rounds", rounds, "--out-csv", "eval.csv")
                     outputs[f"{name} csv"] = Path("eval.csv").read_text(encoding="utf-8")
+            outputs["eval --mode cosine"] = run("eval", "--bundle", "bundle.json", "--world",
+                                                "world.json", "--mode", "cosine",
+                                                "--out-csv", "cosine.csv")
+            outputs["eval --mode cosine csv"] = Path("cosine.csv").read_text(encoding="utf-8")
             name = "sweep --cos 0,0.57,0.9"
             outputs[name] = run("sweep", "--cos", "0,0.57,0.9", "--trials", "500", "--n", "1000",
                                 "--dim", "16", "--seed", "4", "--out", "sweep.csv")
