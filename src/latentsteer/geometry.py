@@ -117,11 +117,9 @@ def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
 
 
 def _exponent_scaled(v: np.ndarray) -> np.ndarray:
-    """v (each row of a 2-D v) times the power of two that brings its largest |entry| into [0.5, 1).
-
-    Scaling by a power of two is exact, so a cosine computed from the result
-    equals the unscaled one wherever that neither overflows nor underflows.
-    """
+    """v (each row of a 2-D v) times the power of two that brings its largest |entry| into
+    [0.5, 1): exact, so cosines from it equal the unscaled ones wherever those neither over- nor
+    underflow."""
     return np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1])
 
 
