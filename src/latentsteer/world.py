@@ -145,7 +145,7 @@ class SyntheticWorld:
 
 def _check_pixels(p: np.ndarray) -> None:
     """Raises LayoutError unless every pixel lies in [0, 1]: min and max propagate NaN, which fails."""
-    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
         raise LayoutError("pixel values must lie in [0, 1]")
 
 
@@ -157,7 +157,7 @@ class SyntheticImage:
 
     def __post_init__(self):
         p = np.array(self.pixels, dtype=np.float64, copy=True)
-        if p.ndim != 2 or p.shape[0] != BLOCK_SIZE or p.shape[1] % BLOCK_SIZE != 0:
+        if p.ndim != 2 or p.shape[0] != BLOCK_SIZE or p.shape[1] % BLOCK_SIZE != 0 or not p.size:
             raise LayoutError(f"pixels must be ({BLOCK_SIZE}, {BLOCK_SIZE}*blocks), got {p.shape}")
         _check_pixels(p)
         p.flags.writeable = False

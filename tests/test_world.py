@@ -257,8 +257,9 @@ def test_image_pixel_bounds_enforced():
         pixels[1, 2, 5] = bad
         with pytest.raises(LayoutError, match="must lie in \\[0, 1\\]"):
             read_batch(world, pixels, [0, 1, 2])
-    with pytest.raises(LayoutError):
-        SyntheticImage(np.zeros((BLOCK_SIZE, BLOCK_SIZE + 3)))
+    for width in (BLOCK_SIZE + 3, 0):
+        with pytest.raises(LayoutError, match=f"got \\({BLOCK_SIZE}, {width}\\)"):
+            SyntheticImage(np.zeros((BLOCK_SIZE, width)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
