@@ -19,10 +19,10 @@ preserve the uncorrected update formulas (negated crossing step, move length
 not divided by the slope norm) so their failure to condition can be
 measured against the corrected defaults.
 
-`condition_batch` is the only steering code: it works on the bundle compiled
-into one stacked affine map (`ModelBundle.compiled`). `condition` steers a
-batch of one and reports it in detail, and `latent_labels` is the same label
-readout on one row.
+`condition_batch` is the only steering code: it works on the bundle's
+models stacked into one affine map (`ModelBundle.weights`, `.intercepts`).
+`condition` steers a batch of one and reports it in detail, and
+`latent_labels` is the same label readout on one row.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateModelError
 from .geometry import _latent_rows, as_latent
-from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, CompiledBundle, ModelBundle, decide
+from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, ModelBundle, decide
 from .world import AttributeLabels
 
 __all__ = [
@@ -160,11 +160,11 @@ class BatchUpdate:
     `satisfied` is computed on first use; `condition` never needs it.
     """
 
-    compiled: CompiledBundle
+    bundle: ModelBundle
     targets: tuple[np.ndarray, ...]             # per block: class index (-1: unset) or value (NaN: unset)
     z_prime: np.ndarray                         # (n, dim)
     moved: np.ndarray                           # (n,) the row received an update
-    scores_before: np.ndarray                   # (n, R) compiled affine scores at Z
+    scores_before: np.ndarray                   # (n, R) stacked affine scores at Z
     scores_after: np.ndarray                    # (n, R) the same at z_prime
     mismatch: Mapping[str, np.ndarray]          # discrete attribute -> (n,) target set and unmet
     multiclass_moves: Mapping[str, np.ndarray]  # multiclass attribute -> (n,) redirects made
@@ -173,8 +173,8 @@ class BatchUpdate:
     def satisfied(self) -> np.ndarray:
         """(n,) every target met at z_prime: the class, or the value within 1e-9."""
         met = np.ones(len(self.z_prime), dtype=bool)
-        for (_, kind, _, _), target, after in zip(self.compiled.blocks, self.targets,
-                                                  _readout(self.compiled, self.scores_after)):
+        for (_, kind, _, _), target, after in zip(self.bundle.blocks, self.targets,
+                                                  _readout(self.bundle, self.scores_after)):
             if kind == CONTINUOUS:
                 met &= np.isnan(target) | (np.abs(after - target) <= 1e-9)
             else:
@@ -182,24 +182,29 @@ class BatchUpdate:
         return met
 
 
-def _scores(m: CompiledBundle, Z: np.ndarray) -> np.ndarray:
+def _dim(bundle: ModelBundle) -> int | None:
+    """The latent dim a bundle steers, or None (any dim) for an empty bundle."""
+    return bundle.latent_dim if bundle.models else None
+
+
+def _scores(bundle: ModelBundle, Z: np.ndarray) -> np.ndarray:
     # einsum rather than Z @ W.T: BLAS rounds a row differently depending on
     # how many rows share the call, while einsum rounds it the same way alone
     # or in a batch, so condition(z) equals its row of condition_batch
-    if not m.blocks:
+    if not bundle.blocks:
         return np.zeros((len(Z), 0))
-    return np.einsum("nd,rd->nr", Z, m.weights) + m.intercepts
+    return np.einsum("nd,rd->nr", Z, bundle.weights) + bundle.intercepts
 
 
-def _readout(m: CompiledBundle, S: np.ndarray) -> list[np.ndarray]:
+def _readout(bundle: ModelBundle, S: np.ndarray) -> list[np.ndarray]:
     """Per block, each row of scores read: its class index by `decide`, or its value."""
     return [S[:, rows.start] if kind == CONTINUOUS else decide(kind, S[:, rows])
-            for _, kind, rows, _ in m.blocks]
+            for _, kind, rows, _ in bundle.blocks]
 
 
-def _labels(m: CompiledBundle, readout: list[np.ndarray], n: int) -> list[AttributeLabels]:
+def _labels(bundle: ModelBundle, readout: list[np.ndarray], n: int) -> list[AttributeLabels]:
     """The AttributeLabels of each of the n rows of a `_readout`."""
-    read = list(zip(m.blocks, readout))
+    read = list(zip(bundle.blocks, readout))
     return [AttributeLabels(
         {name: classes[v[i]] for (name, kind, _, classes), v in read if kind != CONTINUOUS},
         {name: float(v[i]) for (name, kind, _, _), v in read if kind == CONTINUOUS})
@@ -208,8 +213,8 @@ def _labels(m: CompiledBundle, readout: list[np.ndarray], n: int) -> list[Attrib
 
 def latent_labels(bundle: ModelBundle, z) -> AttributeLabels:
     """Predicted class per discrete attribute and value per continuous one."""
-    m = bundle.compiled
-    return _labels(m, _readout(m, _scores(m, as_latent(z, m.dim)[None, :])), 1)[0]
+    S = _scores(bundle, as_latent(z, _dim(bundle))[None, :])
+    return _labels(bundle, _readout(bundle, S), 1)[0]
 
 
 def _validate_spec(spec: ConditioningSpec, schema: tuple[AttributeSchema, ...]) -> None:
@@ -279,13 +284,12 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
 
     Reads each row's labels once and selects its mismatched discrete
     attributes. Each selected binary attribute and each continuous target
-    sizes a step along its compiled unit row; the steps are summed as one
+    sizes a step along its unit row; the steps are summed as one
     combination of those rows, the multiclass redirect moves are added, and
     the sum is applied once. Unspecified attributes never contribute, and
     every row is steered as it would be alone.
     """
-    m = bundle.compiled
-    Z = _latent_rows(Z, m.dim)
+    Z = _latent_rows(Z, _dim(bundle))
     if len(specs) != len(Z):
         raise ValueError(f"{len(Z)} latents but {len(specs)} conditioning specs")
     for spec in specs:
@@ -293,31 +297,32 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
     targets = [np.array([sp.continuous.get(name, np.nan) for sp in specs]) if kind == CONTINUOUS
                else np.array([classes.index(sp.discrete[name]) if name in sp.discrete else -1
                               for sp in specs], dtype=np.intp)
-               for name, kind, _, classes in m.blocks]
-    return _condition_rows(m, Z, tuple(targets), cfg)
+               for name, kind, _, classes in bundle.blocks]
+    return _condition_rows(bundle, Z, tuple(targets), cfg)
 
 
-def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray, ...],
+def _condition_rows(bundle: ModelBundle, Z: np.ndarray, targets: tuple[np.ndarray, ...],
                     cfg: DirectorConfig) -> BatchUpdate:
     """`condition_batch` on checked latents and per-block targets, as `BatchUpdate.targets` holds them.
 
     Raises DegenerateModelError where a stepped row or its scores are not finite.
     """
     n = len(Z)
-    S = _scores(m, Z)
-    coef = np.zeros_like(S)       # step length along each compiled unit row
+    S = _scores(bundle, Z)
+    coef = np.zeros_like(S)       # step length along each unit row
     redirects = np.zeros_like(Z)  # summed multiclass moves
     moved = np.zeros(n, dtype=bool)
     mismatch: dict[str, np.ndarray] = {}
     mc_moves: dict[str, np.ndarray] = {}
-    for (name, kind, rows, classes), target, now in zip(m.blocks, targets, _readout(m, S)):
+    readout = _readout(bundle, S)
+    for (name, kind, rows, classes), target, now in zip(bundle.blocks, targets, readout):
         # `go`: the rows the attribute moves
         r = rows.start
         if kind == CONTINUOUS:
             go = ~np.isnan(target)
         else:
             go = mismatch[name] = (target >= 0) & (target != now)
-        if kind == BINARY and m.norms[r] == 0.0:
+        if kind == BINARY and bundle.norms[r] == 0.0:
             raise DegenerateModelError("hyperplane direction has zero norm")
         if kind == MULTICLASS:
             mc_moves[name] = np.zeros(n, dtype=np.intp)
@@ -325,14 +330,14 @@ def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray,
             continue
 
         if kind == CONTINUOUS:
-            if m.norms[r] == 0.0:
+            if bundle.norms[r] == 0.0:
                 raise DegenerateModelError(f"regressor for attribute {name!r} has a zero slope")
             delta = target - S[:, r]
             go &= delta != 0.0
             calibrated = cfg.continuous_calibration == CAL_CALIBRATED
-            coef[go, r] = delta[go] / m.norms[r] if calibrated else delta[go]
+            coef[go, r] = delta[go] / bundle.norms[r] if calibrated else delta[go]
         elif kind == BINARY:
-            s = -S[go, r] / m.norms[r]  # signed distance, negative on the positive side
+            s = -S[go, r] / bundle.norms[r]  # signed distance, negative on the positive side
             if cfg.sign_convention == SIGN_PAPER_LITERAL:
                 coef[go, r] = -(s + cfg.delta_margin)
             else:
@@ -342,8 +347,8 @@ def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray,
                 coef[go, r] = s + np.where(target[go] == 1, 1.0, -1.0) * cfg.delta_margin
         else:
             picked = np.flatnonzero(go)
-            move, mc_moves[name][picked] = _redirect(Z[picked], target[picked], m.weights[rows],
-                                                     m.intercepts[rows], classes, cfg)
+            move, mc_moves[name][picked] = _redirect(
+                Z[picked], target[picked], bundle.weights[rows], bundle.intercepts[rows], classes, cfg)
             redirects[picked] += move
             go = mc_moves[name] > 0
         moved |= go
@@ -351,12 +356,12 @@ def _condition_rows(m: CompiledBundle, Z: np.ndarray, targets: tuple[np.ndarray,
     Z_prime = Z.copy()
     if moved.any():
         # only moved rows get an update: adding a zero update would turn -0.0 into 0.0
-        Z_prime[moved] += np.einsum("nr,rd->nd", coef[moved], m.units) + redirects[moved]
-    S_prime = _scores(m, Z_prime)
+        Z_prime[moved] += np.einsum("nr,rd->nd", coef[moved], bundle.units) + redirects[moved]
+    S_prime = _scores(bundle, Z_prime)
     if not (np.isfinite(Z_prime).all() and np.isfinite(S_prime).all()):
         raise DegenerateModelError(f"the step overflows: a stepped latent or its scores are not "
                                    f"finite (delta_margin={cfg.delta_margin})")
-    return BatchUpdate(m, targets, Z_prime, moved, S, S_prime, mismatch, mc_moves)
+    return BatchUpdate(bundle, targets, Z_prime, moved, S, S_prime, mismatch, mc_moves)
 
 
 def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
@@ -366,8 +371,7 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
     Returns a report with labels, signed distances, and continuous deltas
     before and after. When nothing moves, z_prime is z itself.
     """
-    m = bundle.compiled
-    z = as_latent(z, m.dim)
+    z = as_latent(z, _dim(bundle))
     batch = condition_batch(z[None, :], [spec], bundle, cfg)
     z_prime = z  # bit-exact no-op unless the row moved
     if batch.moved[0]:
@@ -375,18 +379,18 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
         z_prime.flags.writeable = False
 
     sb, sa = S = np.concatenate([batch.scores_before, batch.scores_after])
-    readout = _readout(m, S)
-    before, after = _labels(m, readout, 2)
+    readout = _readout(bundle, S)
+    before, after = _labels(bundle, readout, 2)
     chosen = {name: bool(mask[0]) for name, mask in batch.mismatch.items()}
     dist_before: dict[str, float] = {}
     dist_after: dict[str, float] = {}
-    for (name, kind, rows, _), target, now in zip(m.blocks, batch.targets, readout):
+    for (name, kind, rows, _), target, now in zip(bundle.blocks, batch.targets, readout):
         if kind == BINARY:
-            norm, s0, s1 = m.norms[rows.start], sb[rows.start], sa[rows.start]
+            norm, s0, s1 = bundle.norms[rows.start], sb[rows.start], sa[rows.start]
         elif kind == MULTICLASS and chosen[name]:
             # the first redirect's boundary: the desired class against the class before
             hi, lo = rows.start + target[0], rows.start + now[0]
-            norm = np.linalg.norm(m.weights[hi] - m.weights[lo])
+            norm = np.linalg.norm(bundle.weights[hi] - bundle.weights[lo])
             s0, s1 = sb[hi] - sb[lo], sa[hi] - sa[lo]
         else:
             continue

@@ -8,14 +8,13 @@ regression line. Both classifiers are fitted by one damped Newton (IRLS)
 routine over the softmax objective, a binary attribute being its two-class
 case; it starts from zero and stops once max |grad| <= GRAD_TOL. All
 training is full batch and bit-deterministic for a given config: the only
-randomness is the train/test split permutation. A `ModelBundle` stacks its
-models' rows into one affine map, `ModelBundle.compiled`, for steering.
+randomness is the train/test split permutation. A `ModelBundle` also holds
+its models' rows stacked into one affine map, which steering reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -34,7 +33,6 @@ __all__ = [
     "TrainingMeta",
     "LatentModel",
     "ModelBundle",
-    "CompiledBundle",
     "BundleProvenance",
     "decide",
     "fit_binary",
@@ -478,12 +476,25 @@ class ModelBundle:
     """One fitted latent model per schema attribute, all sharing one latent dim.
 
     `models` is a read-only copy of the mapping given, so a bundle that
-    several callers share cannot be changed by one of them.
+    several callers share cannot be changed by one of them. The bundle also
+    holds its models' rows stacked once, in schema order, into one read-only
+    affine map z -> weights @ z + intercepts, which steering reads: a binary
+    or continuous attribute owns one row, a multiclass attribute one row per
+    class. `blocks` lists each attribute's (name, kind, row slice, class
+    names): (negative, positive) for a binary row, the classifier's class
+    order for a multiclass block, () for a regressor.
     """
 
     schema: tuple[AttributeSchema, ...]
     models: Mapping[str, LatentModel]
     provenance: BundleProvenance | None = None
+    weights: np.ndarray = field(init=False, repr=False, compare=False)     # (R, dim)
+    intercepts: np.ndarray = field(init=False, repr=False, compare=False)  # (R,)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)       # (R,) row norms
+    # (R, dim) rows scaled to unit length; a zero row stays zero
+    units: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: tuple[tuple[str, str, slice, tuple[str, ...]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
@@ -497,6 +508,7 @@ class ModelBundle:
         extra = sorted(set(self.models) - set(names))
         if extra:
             raise BundleIncompleteError(f"models for attributes the schema does not name: {extra}")
+        blocks, start = [], 0
         for attr in self.schema:
             model = self.models[attr.name]
             if model.kind != attr.kind:
@@ -505,53 +517,30 @@ class ModelBundle:
             if set(model.classes) != set(attr.classes):
                 raise BundleIncompleteError(
                     f"attribute {attr.name!r}: classifier classes do not match the schema")
+            blocks.append((attr.name, attr.kind, slice(start, start + len(model.weights)),
+                           model.classes))
+            start += len(model.weights)
         dims = sorted({model.dim for model in self.models.values()})
         if len(dims) > 1:
             raise BundleIncompleteError(f"models disagree on latent dim: {dims}")
+        models = [self.models[name] for name in names]
+        w = np.concatenate([m.weights for m in models] or [np.zeros((0, 0))])
+        norms = np.sqrt((w * w).sum(axis=1))
+        units = w / np.where(norms > 0.0, norms, 1.0)[:, None]
+        b = np.concatenate([m.intercepts for m in models] or [np.zeros(0)])
+        for name, a in (("weights", w), ("intercepts", b), ("norms", norms), ("units", units)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def latent_dim(self) -> int:
         if not self.models:
             raise BundleIncompleteError("empty bundle has no latent dimension")
-        return next(iter(self.models.values())).dim
+        return self.weights.shape[1]
 
     def model_for(self, name: str) -> LatentModel:
         try:
             return self.models[name]
         except KeyError:
             raise BundleIncompleteError(f"no model for attribute {name!r}") from None
-
-    @cached_property
-    def compiled(self) -> "CompiledBundle":
-        """Every model of the bundle as rows of one affine map, built once per bundle."""
-        models = [self.models[attr.name] for attr in self.schema]
-        blocks, start = [], 0
-        for attr, m in zip(self.schema, models):
-            blocks.append((attr.name, attr.kind, slice(start, start + len(m.weights)), m.classes))
-            start += len(m.weights)
-        w = np.concatenate([m.weights for m in models] or [np.zeros((0, 0))])
-        norms = np.sqrt((w * w).sum(axis=1))
-        units = w / np.where(norms > 0.0, norms, 1.0)[:, None]
-        arrays = (w, np.concatenate([m.intercepts for m in models] or [np.zeros(0)]), norms, units)
-        for a in arrays:
-            a.flags.writeable = False
-        return CompiledBundle(self.latent_dim if models else None, *arrays, tuple(blocks))
-
-
-@dataclass(frozen=True)
-class CompiledBundle:
-    """A bundle's models stacked into one affine map z -> weights @ z + intercepts.
-
-    A binary or continuous attribute owns one row, a multiclass attribute one
-    row per class. `blocks` lists, in schema order, each attribute's
-    (name, kind, row slice, class names): (negative, positive) for a binary
-    row, the classifier's class order for a multiclass block, () for a
-    regressor. dim is None for an empty bundle.
-    """
-
-    dim: int | None
-    weights: np.ndarray     # (R, dim)
-    intercepts: np.ndarray  # (R,)
-    norms: np.ndarray       # (R,) row norms
-    units: np.ndarray       # (R, dim) rows scaled to unit length; a zero row stays zero
-    blocks: tuple[tuple[str, str, slice, tuple[str, ...]], ...]

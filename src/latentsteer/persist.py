@@ -13,7 +13,7 @@ path string get their own entry, so every error message names the path it
 was given. Errors are not memoized, so a malformed file raises the same
 FormatError on every load. Callers share a memoized object, which is why
 every loaded object is immutable: frozen dataclasses, read-only arrays and
-read-only mappings. A bundle keeps its `compiled` map across loads.
+read-only mappings. A bundle's stacked map is built once, when it is parsed.
 """
 
 from __future__ import annotations

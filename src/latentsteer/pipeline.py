@@ -33,7 +33,6 @@ from .models import (
     MULTICLASS,
     AttributeSchema,
     BundleProvenance,
-    CompiledBundle,
     LatentModel,
     ModelBundle,
     TrainingConfig,
@@ -209,16 +208,16 @@ def _draw_trials(schema: Sequence[AttributeSchema], dim: int, seed: int, block: 
     return Z[:n], T[:n]
 
 
-def _steer(Z: np.ndarray, targets: tuple[np.ndarray, ...], m: CompiledBundle,
+def _steer(Z: np.ndarray, targets: tuple[np.ndarray, ...], bundle: ModelBundle,
            cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Steer the rows of Z in place, and their compiled scores at the end.
+    """Steer the rows of Z in place, and their stacked scores at the end.
 
     Each round after the first takes only the unsatisfied rows.
     """
     todo = np.arange(len(Z))
-    S = np.empty((len(Z), len(m.weights)))
+    S = np.empty((len(Z), len(bundle.weights)))
     for _ in range(cfg.rounds):
-        step = _condition_rows(m, Z[todo], tuple(t[todo] for t in targets), cfg.director)
+        step = _condition_rows(bundle, Z[todo], tuple(t[todo] for t in targets), cfg.director)
         Z[todo], S[todo] = step.z_prime, step.scores_after
         todo = todo[~step.satisfied]
         if not todo.size:
@@ -226,10 +225,11 @@ def _steer(Z: np.ndarray, targets: tuple[np.ndarray, ...], m: CompiledBundle,
     return Z, S
 
 
-def _block_readout(m: CompiledBundle, labels: AttributeLabels) -> dict:
+def _block_readout(bundle: ModelBundle, labels: AttributeLabels) -> dict:
     """One row's labels as a judge reads them."""
     return {name: (classes.index(labels.discrete[name]) if labels.discrete[name] in classes else -1)
-            if kind != CONTINUOUS else labels.continuous[name] for name, kind, _, classes in m.blocks}
+            if kind != CONTINUOUS else labels.continuous[name]
+            for name, kind, _, classes in bundle.blocks}
 
 
 def _check_eval(bundle: ModelBundle, world: SyntheticWorld, trials: int) -> None:
@@ -246,37 +246,36 @@ def _run_trials(bundle: ModelBundle, trials: int, cfg: EvalConfig,
                 judge_one: Callable[[np.ndarray], AttributeLabels], mode: str) -> EvalReport:
     """Draw, steer and judge the trials a block at a time.
 
-    judge reads a block of steered latents and their compiled scores into,
-    per attribute, the class index in its compiled block's class order (-1:
+    judge reads a block of steered latents and their stacked scores into,
+    per attribute, the class index in its block's class order (-1:
     a class the block does not name) or the value. judge_one is the public
     judge of one latent.
     """
-    m = bundle.compiled
-    # per block: the compiled class index of each schema class, or None for a continuous one
+    # per block: the block's class index of each schema class, or None for a continuous one
     to_block = [np.array([classes.index(c) for c in a.classes], dtype=np.intp) if a.is_discrete
-                else None for a, (_, _, _, classes) in zip(bundle.schema, m.blocks)]
+                else None for a, (_, _, _, classes) in zip(bundle.schema, bundle.blocks)]
     hits = {a.name: 0 for a in bundle.schema if a.is_discrete}
     sq_err = {a.name: 0.0 for a in bundle.schema if not a.is_discrete}
     joint_hits = 0
 
     for start in range(0, trials, ROW_BLOCK):
-        Z, T = _draw_trials(bundle.schema, m.dim, cfg.seed, start // ROW_BLOCK,
+        Z, T = _draw_trials(bundle.schema, bundle.latent_dim, cfg.seed, start // ROW_BLOCK,
                             min(ROW_BLOCK, trials - start))
         targets = tuple(T[:, j] if perm is None else perm[T[:, j].astype(np.intp)]
                         for j, perm in enumerate(to_block))
-        Z, S = _steer(Z, targets, m, cfg)
+        Z, S = _steer(Z, targets, bundle, cfg)
         readout = judge(Z, S)
         if start == 0:
             # the single-row judge must read the first trial as the block does (NaN equal to
             # NaN); this keeps its traced calls until the benchmark traces the batched judges
             # (ROADMAP item 1), which removes this check
-            one = _block_readout(m, judge_one(Z[0]))
+            one = _block_readout(bundle, judge_one(Z[0]))
             if any(not (v == readout[name][0] or np.isnan(v) and np.isnan(readout[name][0]))
                    for name, v in one.items()):
                 raise RuntimeError(f"{mode} judge: batched row 0 differs from the single-row judge")
         joint = np.ones(len(Z), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN errors, as Python floats
-            for (name, kind, _, _), target in zip(m.blocks, targets):
+            for (name, kind, _, _), target in zip(bundle.blocks, targets):
                 if kind == CONTINUOUS:
                     d = readout[name] - target
                     # summed in trial order, as a running float total would be
@@ -299,7 +298,7 @@ def eval_latent_modification(bundle: ModelBundle, world: SyntheticWorld, trials:
     _check_eval(bundle, world, trials)
 
     def judge(Z: np.ndarray, S: np.ndarray) -> dict[str, np.ndarray]:
-        return {block[0]: v for block, v in zip(bundle.compiled.blocks, _readout(bundle.compiled, S))}
+        return {block[0]: v for block, v in zip(bundle.blocks, _readout(bundle, S))}
 
     return _run_trials(bundle, trials, cfg, judge, lambda z: latent_labels(bundle, z), "latent")
 
@@ -309,8 +308,8 @@ def eval_end_to_end(bundle: ModelBundle, world: SyntheticWorld, trials: int,
     """Steer random latents to random targets; judge by the noiseless image pathway."""
     _check_eval(bundle, world, trials)
     shown = {a.name: a for a in world.config.attributes}
-    to_block = {}  # per discrete attribute: the compiled class index of each world class
-    for name, kind, _, classes in bundle.compiled.blocks:
+    to_block = {}  # per discrete attribute: the block's class index of each world class
+    for name, kind, _, classes in bundle.blocks:
         attr = shown.get(name)
         if attr is None or attr.is_discrete != (kind != CONTINUOUS):
             raise WorldConfigError(f"the world does not show attribute {name!r} as {kind}")
@@ -321,7 +320,7 @@ def eval_end_to_end(bundle: ModelBundle, world: SyntheticWorld, trials: int,
     def judge(Z: np.ndarray, S: np.ndarray) -> dict[str, np.ndarray]:
         labels = _label_latents(world, Z, np.zeros(len(Z), np.intp), label_noise=0.0)
         return {name: to_block[name][labels[name]] if name in to_block else labels[name]
-                for name, _, _, _ in bundle.compiled.blocks}
+                for name, _, _, _ in bundle.blocks}
 
     def judge_one(z: np.ndarray) -> AttributeLabels:
         return oracle_label(world, generate_image(world, z), 0, label_noise=0.0)

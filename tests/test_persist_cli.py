@@ -127,11 +127,11 @@ def test_the_same_bytes_at_the_same_path_load_the_same_object(tmp_path, which):
     path = tmp_path / f"{which}.json"
     path.write_bytes(_trained_files()[which])
     first = load(path)
-    if which == "bundle":
-        compiled = first.compiled
     assert load(path) is first and load(str(path)) is first
-    if which == "bundle":
-        assert load(path).compiled is compiled
+    if which == "bundle":  # a reload reads the stacked map built when the file was parsed
+        again = load(path)
+        assert all(getattr(again, a) is getattr(first, a)
+                   for a in ("weights", "intercepts", "norms", "units", "blocks"))
 
 
 @pytest.mark.parametrize("which", sorted(LOADERS))
