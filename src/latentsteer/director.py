@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConditioningError, DegenerateModelError
-from .geometry import _latent_rows, as_latent
+from .geometry import _latent_rows, _scaled_norm, as_latent
 from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, ModelBundle, decide
 from .world import AttributeLabels
 
@@ -266,14 +266,14 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
             break
         want = desired[active]
         w = weights[want] - weights[current]
-        norm = np.sqrt(np.einsum("nd,nd->n", w, w))
+        scaled, n, norm = _scaled_norm(w, lambda v: np.sqrt(np.einsum("nd,nd->n", v, v)))
         if not norm.all():
             i = int(np.argmin(norm))
             raise DegenerateModelError(
                 f"classes {classes[want[i]]!r} and {classes[current[i]]!r} share identical weights"
             )
         s = -(np.einsum("nd,nd->n", w, z_work[active]) + (intercepts[want] - intercepts[current])) / norm
-        z_work[active] += (s + cfg.delta_margin)[:, None] * (w / norm[:, None])
+        z_work[active] += (s + cfg.delta_margin)[:, None] * (scaled / n[:, None])
         count[active] += 1
     return z_work - Z, count
 
@@ -390,7 +390,7 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
         elif kind == MULTICLASS and chosen[name]:
             # the first redirect's boundary: the desired class against the class before
             hi, lo = rows.start + target[0], rows.start + now[0]
-            norm = np.linalg.norm(bundle.weights[hi] - bundle.weights[lo])
+            norm = _scaled_norm(bundle.weights[hi] - bundle.weights[lo], np.linalg.norm)[2]
             s0, s1 = sb[hi] - sb[lo], sa[hi] - sa[lo]
         else:
             continue

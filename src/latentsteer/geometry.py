@@ -96,7 +96,7 @@ class Hyperplane:
 
 def signed_distance(z: np.ndarray, h: Hyperplane) -> float:
     """Signed distance from z to h, negative on the positive-score side."""
-    norm = float(np.linalg.norm(h.direction))
+    norm = float(_scaled_norm(h.direction, np.linalg.norm)[2])
     if norm == 0.0:
         raise DegenerateModelError("hyperplane direction has zero norm")
     return -h.score(z) / norm
@@ -104,10 +104,10 @@ def signed_distance(z: np.ndarray, h: Hyperplane) -> float:
 
 def unit_direction(h: Hyperplane) -> np.ndarray:
     """Normal of h normalized to unit length (read-only)."""
-    norm = float(np.linalg.norm(h.direction))
+    scaled, norm, _ = _scaled_norm(h.direction, np.linalg.norm)
     if norm == 0.0:
         raise DegenerateModelError("hyperplane direction has zero norm")
-    return _frozen(h.direction / norm)
+    return _frozen(scaled / norm)
 
 
 def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
@@ -116,11 +116,19 @@ def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
     return _frozen(z + signed_distance(z, h) * unit_direction(h))
 
 
-def _exponent_scaled(v: np.ndarray) -> np.ndarray:
-    """v (each row of a 2-D v) times the power of two that brings its largest |entry| into
-    [0.5, 1): exact, so cosines from it equal the unscaled ones wherever those neither over- nor
-    underflow."""
-    return np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1])
+def _scaled_norm(v: np.ndarray, norm_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v (each row of a 2-D v) scaled, its norm, and v's norm: right at every scale.
+
+    v is multiplied by the power of two that brings its largest |entry| into
+    [0.5, 1), so norm_of(scaled), the caller's own reduction, neither over- nor
+    underflows; np.ldexp scales that norm back. Both scalings are exact, so
+    the norm and scaled / its norm equal norm_of(v) and v / norm_of(v) bit
+    for bit wherever those neither over- nor underflow.
+    """
+    e = np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1]
+    scaled = np.ldexp(v, -e)
+    n = norm_of(scaled)
+    return scaled, n, np.ldexp(n, e[..., 0])
 
 
 def cosine_similarity(a, b) -> float:
@@ -129,9 +137,7 @@ def cosine_similarity(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(a.size, b.size, what="direction vector")
-    a, b = _exponent_scaled(a), _exponent_scaled(b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    (a, na, _), (b, nb, _) = _scaled_norm(a, np.linalg.norm), _scaled_norm(b, np.linalg.norm)
     if na == 0.0 or nb == 0.0:
         raise DegenerateModelError("cosine similarity of a zero vector is undefined")
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
@@ -145,8 +151,7 @@ def pairwise_cosines(vectors: np.ndarray) -> np.ndarray:
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-D stack of vectors, got shape {v.shape}")
-    v = _exponent_scaled(v)
-    norms = np.linalg.norm(v, axis=1)
+    v, norms, _ = _scaled_norm(v, lambda u: np.linalg.norm(u, axis=1))
     if np.any(norms == 0.0):
         raise DegenerateModelError("cosine matrix over a zero vector is undefined")
     unit = v / norms[:, None]

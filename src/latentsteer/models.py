@@ -25,7 +25,7 @@ from .errors import (
     DivergenceError,
     UnlearnableAttributeError,
 )
-from .geometry import Hyperplane, _latent_rows, as_latent
+from .geometry import Hyperplane, _latent_rows, _scaled_norm, as_latent
 
 __all__ = [
     "AttributeSchema",
@@ -525,8 +525,8 @@ class ModelBundle:
             raise BundleIncompleteError(f"models disagree on latent dim: {dims}")
         models = [self.models[name] for name in names]
         w = np.concatenate([m.weights for m in models] or [np.zeros((0, 0))])
-        norms = np.sqrt((w * w).sum(axis=1))
-        units = w / np.where(norms > 0.0, norms, 1.0)[:, None]
+        scaled, n, norms = _scaled_norm(w, lambda v: np.sqrt((v * v).sum(axis=1)))
+        units = scaled / np.where(n > 0.0, n, 1.0)[:, None]
         b = np.concatenate([m.intercepts for m in models] or [np.zeros(0)])
         for name, a in (("weights", w), ("intercepts", b), ("norms", norms), ("units", units)):
             a.flags.writeable = False

@@ -1,5 +1,6 @@
 """Conditioning engine: choose vectors, crossing moves, calibration, combined steps."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -441,7 +442,7 @@ def _check_report(bundle, z, spec, report):
     assert report.choose.names == tuple(bits) and report.choose.as_dict() == bits
     assert list(report.distances_before) == list(rows) == list(report.distances_after)
     for name, (w, b, w_size, b_size) in rows.items():
-        norm = np.sqrt((w * w).sum())
+        norm = math.hypot(*w)  # exact where w * w underflows
         for x, got in ((z, report.distances_before[name]), (report.z_prime, report.distances_after[name])):
             assert abs(got + (w @ x + b) / norm) <= 1e-12 * (w_size @ np.abs(x) + b_size) / norm
     assert list(report.deltas) == list(spec.continuous)

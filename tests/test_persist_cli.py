@@ -834,6 +834,29 @@ def test_cli_cosines_of_a_direction_scaled_by_a_power_of_two_are_unchanged(tmp_p
     assert "0.000" not in outputs[0][0].splitlines()[1]  # style's row: off-diagonal cosines nonzero
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-900, 900])
+def test_cli_steering_along_directions_scaled_by_a_power_of_two_is_unchanged(tmp_path, capsys, k):
+    outputs = []
+    for scale in (1.0, 2.0**k):
+        payloads = trained_payloads()
+        for model in payloads["bundle"]["models"].values():
+            keys = {"binary": ("direction", "intercept"),
+                    "multiclass": ("class_weights", "class_intercepts")}.get(model["kind"], ())
+            for key in keys:
+                model[key] = (np.array(model[key]) * scale).tolist()
+        for name, payload in payloads.items():
+            (tmp_path / f"{name}.json").write_bytes(json_bytes(payload))
+        files = ["--bundle", str(tmp_path / "bundle.json"), "--world", str(tmp_path / "world.json")]
+        for argv in (["generate", *files, "--seed", "0", "--cond", "style=dress,hair=black,smile=0.7"],
+                     ["eval", *files, "--mode", "latent", "--trials", "300", "--rounds", "3"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[2:] == outputs[:2]
+    distances = outputs[0].split("dist after")[1].split()
+    assert distances[:6:3] == ["style", "hair"] and "-0.0000" not in distances
+
 # model fields whose every number a scale mutation sets to one value
 SCALED_FIELDS = {
     "style.direction": ("bundle", "models", "style", "direction"),

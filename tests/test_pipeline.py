@@ -19,6 +19,7 @@ from latentsteer import (
     WorldConfig,
     build_world,
     condition,
+    condition_batch,
     cosine_report,
     eval_end_to_end,
     eval_latent_modification,
@@ -207,6 +208,72 @@ def test_batched_evals_equal_the_per_trial_loop(kind, trials, rounds, sign, cali
     assert (report.rmse == {}) == (kind == "discrete")
     assert (report.joint_discrete_accuracy is None) == (kind == "continuous")
 
+
+
+@pytest.mark.parametrize("kind", list(SCHEMAS))
+def test_a_bundle_stacks_its_models_rows_in_schema_order(kind):
+    _, bundle = _entangled_case(kind)
+    start = 0
+    for attr, (name, block_kind, rows, classes) in zip(bundle.schema, bundle.blocks, strict=True):
+        model = bundle.models[attr.name]
+        assert (name, block_kind, classes) == (attr.name, attr.kind, model.classes)
+        if attr.kind == "multiclass":  # the model's own class order, which _entangled_case permutes
+            assert classes != attr.classes
+        assert rows == slice(start, start + len(model.weights))
+        assert bundle.weights[rows].tobytes() == model.weights.tobytes()
+        assert bundle.intercepts[rows].tobytes() == model.intercepts.tobytes()
+        start = rows.stop
+    assert bundle.weights.shape == bundle.units.shape == (start, bundle.latent_dim)
+    assert bundle.intercepts.shape == bundle.norms.shape == (start,)
+    np.testing.assert_allclose(bundle.norms, np.linalg.norm(bundle.weights, axis=1), rtol=1e-14)
+    np.testing.assert_allclose(bundle.units * bundle.norms[:, None], bundle.weights, rtol=1e-14)
+    for a in (bundle.weights, bundle.intercepts, bundle.norms, bundle.units):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+@functools.cache
+def _bench_case():
+    """The benchmark's world (acceptance criterion 08's seed 57) and its N=2,000 bundle."""
+    attrs = (AttributeSchema.binary("style", "tee", "dress"),
+             AttributeSchema.binary("pose", "back", "front"),
+             AttributeSchema.multiclass("hair", ("black", "brown", "blond")),
+             AttributeSchema.continuous("smile", 0.0, 1.0))
+    ent = np.eye(6)
+    ent[0, 1] = ent[1, 0] = 0.57
+    world = build_world(WorldConfig(dim=64, attributes=attrs, entanglement=ent, label_noise=0.02,
+                                    continuous_profile="sigmoid", seed=57))
+    return world, run_training(world, 2000, TrainingConfig(epochs=1000, seed=3))
+
+
+def _scaled_bundle(bundle, k):
+    """bundle with every binary and multiclass row and intercept times 2**k."""
+    return ModelBundle(bundle.schema, {
+        name: m if m.kind == "continuous"
+        else replace(m, weights=np.ldexp(m.weights, k), intercepts=np.ldexp(m.intercepts, k))
+        for name, m in bundle.models.items()})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-900, 900])
+def test_a_bundle_scaled_by_a_power_of_two_steers_as_the_unscaled_one(k):
+    # unscaled, the squares in the row norms overflow (k = 900) or underflow to zero (k = -900)
+    world, bundle = _bench_case()
+    scaled = _scaled_bundle(bundle, k)
+    rng = np.random.default_rng(31)
+    Z = rng.standard_normal((200, world.latent_dim))
+    specs = [ConditioningSpec({a.name: a.classes[rng.integers(len(a.classes))]
+                               for a in bundle.schema if a.is_discrete},
+                              {"smile": rng.uniform(0.1, 0.9)}) for _ in Z]
+    assert (condition_batch(Z, specs, scaled).z_prime.tobytes()
+            == condition_batch(Z, specs, bundle).z_prime.tobytes())
+    for z, spec in zip(Z[:20], specs):
+        got, expected = condition(z, spec, scaled), condition(z, spec, bundle)
+        assert got.distances_before == expected.distances_before
+        assert got.distances_after == expected.distances_after
+    for rounds in (1, 3):
+        cfg = EvalConfig(seed=1, rounds=rounds)
+        for evaluate in (eval_latent_modification, eval_end_to_end):
+            assert repr(evaluate(scaled, world, 1000, cfg)) == repr(evaluate(bundle, world, 1000, cfg))
 
 def _drawn_trials(bundle, world, trials, seed):
     """Every trial's latent and compiled targets as the latent eval steers them."""
