@@ -117,7 +117,7 @@ def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
 
 
 def _scaled_norm(v: np.ndarray, norm_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """v (each row of a 2-D v) scaled, its norm, and v's norm: right at every scale.
+    """v (each vector along its last axis) scaled, its norm, and v's norm: right at every scale.
 
     v is multiplied by the power of two that brings its largest |entry| into
     [0.5, 1), so norm_of(scaled), the caller's own reduction, neither over- nor
