@@ -119,11 +119,10 @@ def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
 def _scaled_norm(v: np.ndarray, norm_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """v (each vector along its last axis) scaled, its norm, and v's norm: right at every scale.
 
-    v is multiplied by the power of two that brings its largest |entry| into
-    [0.5, 1), so norm_of(scaled), the caller's own reduction, neither over- nor
-    underflows; np.ldexp scales that norm back. Both scalings are exact, so
-    the norm and scaled / its norm equal norm_of(v) and v / norm_of(v) bit
-    for bit wherever those neither over- nor underflow.
+    v times the power of two that brings its largest |entry| into [0.5, 1) keeps the caller's
+    reduction norm_of from over- or underflowing, and np.ldexp scales the norm back. Both are exact,
+    so the results equal norm_of(v) and v / norm_of(v) bit for bit where those neither over- nor
+    underflow.
     """
     e = np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1]
     scaled = np.ldexp(v, -e)

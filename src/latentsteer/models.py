@@ -491,8 +491,7 @@ class ModelBundle:
     weights: np.ndarray = field(init=False, repr=False, compare=False)     # (R, dim)
     intercepts: np.ndarray = field(init=False, repr=False, compare=False)  # (R,)
     norms: np.ndarray = field(init=False, repr=False, compare=False)       # (R,) row norms
-    # (R, dim) rows scaled to unit length; a zero row stays zero
-    units: np.ndarray = field(init=False, repr=False, compare=False)
+    units: np.ndarray = field(init=False, repr=False, compare=False)  # (R, dim) unit rows or zeros
     blocks: tuple[tuple[str, str, slice, tuple[str, ...]], ...] = field(
         init=False, repr=False, compare=False)
 
@@ -523,11 +522,10 @@ class ModelBundle:
         dims = sorted({model.dim for model in self.models.values()})
         if len(dims) > 1:
             raise BundleIncompleteError(f"models disagree on latent dim: {dims}")
-        models = [self.models[name] for name in names]
-        w = np.concatenate([m.weights for m in models] or [np.zeros((0, 0))])
+        w = np.concatenate([self.models[name].weights for name in names] or [np.zeros((0, 0))])
         scaled, n, norms = _scaled_norm(w, lambda v: np.sqrt((v * v).sum(axis=1)))
         units = scaled / np.where(n > 0.0, n, 1.0)[:, None]
-        b = np.concatenate([m.intercepts for m in models] or [np.zeros(0)])
+        b = np.concatenate([self.models[name].intercepts for name in names] or [np.zeros(0)])
         for name, a in (("weights", w), ("intercepts", b), ("norms", norms), ("units", units)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
