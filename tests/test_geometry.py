@@ -99,7 +99,6 @@ def test_cosines_of_vectors_scaled_by_a_power_of_two_are_byte_equal(k):
     assert cosine_similarity(scaled[0], v[1]) == cosine_similarity(v[0], v[1])
 
 
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("k", [-900, 900])
 def test_distances_and_normals_of_a_hyperplane_scaled_by_a_power_of_two_are_unchanged(k):
@@ -109,6 +108,7 @@ def test_distances_and_normals_of_a_hyperplane_scaled_by_a_power_of_two_are_unch
     assert signed_distance(z, scaled) == signed_distance(z, h)
     assert unit_direction(scaled).tobytes() == unit_direction(h).tobytes()
     assert project_to_hyperplane(z, scaled).tobytes() == project_to_hyperplane(z, h).tobytes()
+
 
 def test_projection_lands_on_hyperplane():
     rng = np.random.default_rng(7)

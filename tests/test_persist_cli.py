@@ -834,7 +834,6 @@ def test_cli_cosines_of_a_direction_scaled_by_a_power_of_two_are_unchanged(tmp_p
     assert "0.000" not in outputs[0][0].splitlines()[1]  # style's row: off-diagonal cosines nonzero
 
 
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("k", [-900, 900])
 def test_cli_steering_along_directions_scaled_by_a_power_of_two_is_unchanged(tmp_path, capsys, k):
@@ -856,6 +855,7 @@ def test_cli_steering_along_directions_scaled_by_a_power_of_two_is_unchanged(tmp
     assert outputs[2:] == outputs[:2]
     distances = outputs[0].split("dist after")[1].split()
     assert distances[:6:3] == ["style", "hair"] and "-0.0000" not in distances
+
 
 # model fields whose every number a scale mutation sets to one value
 SCALED_FIELDS = {

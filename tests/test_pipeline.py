@@ -209,7 +209,6 @@ def test_batched_evals_equal_the_per_trial_loop(kind, trials, rounds, sign, cali
     assert (report.joint_discrete_accuracy is None) == (kind == "continuous")
 
 
-
 @pytest.mark.parametrize("kind", list(SCHEMAS))
 def test_a_bundle_stacks_its_models_rows_in_schema_order(kind):
     _, bundle = _entangled_case(kind)
@@ -230,6 +229,7 @@ def test_a_bundle_stacks_its_models_rows_in_schema_order(kind):
     for a in (bundle.weights, bundle.intercepts, bundle.norms, bundle.units):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
 
 @functools.cache
 def _bench_case():
@@ -274,6 +274,7 @@ def test_a_bundle_scaled_by_a_power_of_two_steers_as_the_unscaled_one(k):
         cfg = EvalConfig(seed=1, rounds=rounds)
         for evaluate in (eval_latent_modification, eval_end_to_end):
             assert repr(evaluate(scaled, world, 1000, cfg)) == repr(evaluate(bundle, world, 1000, cfg))
+
 
 def _drawn_trials(bundle, world, trials, seed):
     """Every trial's latent and compiled targets as the latent eval steers them."""
