@@ -258,10 +258,10 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
     z_work = Z.copy()
     count = np.zeros(len(Z), dtype=np.intp)
     active = np.arange(len(Z))
-    # the normal of every (desired, current) boundary, with its norm and unit normal, taken once
-    pairs = weights[:, None, :] - weights[None, :, :]
-    scaled, n, norms = _scaled_norm(pairs, lambda v: np.sqrt(np.einsum("abd,abd->ab", v, v)))
-    units = scaled / np.where(n > 0.0, n, 1.0)[..., None]
+    # pairs[a * k + c] for k classes: the (a, c) boundary's normal, with its norm and unit normal
+    pairs = (weights[:, None, :] - weights[None, :, :]).reshape(-1, weights.shape[1])
+    scaled, n, norms = _scaled_norm(pairs, lambda v: np.sqrt(np.einsum("nd,nd->n", v, v)))
+    units = scaled / np.where(n > 0.0, n, 1.0)[:, None]
     for _ in range(MULTICLASS_MAX_REDIRECTS):
         current = decide(MULTICLASS, np.einsum("nd,kd->nk", z_work[active], weights) + intercepts)
         keep = current != desired[active]
@@ -269,15 +269,16 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
         if not active.size:
             break
         want = desired[active]
-        norm = norms[want, current]
+        pair = want * len(weights) + current
+        norm = norms[pair]
         if not norm.all():
             i = int(np.argmin(norm))
             raise DegenerateModelError(
                 f"classes {classes[want[i]]!r} and {classes[current[i]]!r} share identical weights"
             )
-        s = -(np.einsum("nd,nd->n", pairs[want, current], z_work[active])
+        s = -(np.einsum("nd,nd->n", pairs[pair], z_work[active])
               + (intercepts[want] - intercepts[current])) / norm
-        z_work[active] += (s + cfg.delta_margin)[:, None] * units[want, current]
+        z_work[active] += (s + cfg.delta_margin)[:, None] * units[pair]
         count[active] += 1
     return z_work - Z, count
 
