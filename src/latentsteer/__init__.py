@@ -42,6 +42,7 @@ from .geometry import (
 from .models import (
     AttributeSchema,
     BundleProvenance,
+    Folds,
     LatentModel,
     ModelBundle,
     TrainingConfig,
@@ -49,6 +50,7 @@ from .models import (
     fit_binary,
     fit_multiclass,
     fit_regressor,
+    split_folds,
 )
 from .pipeline import (
     CosineReport,

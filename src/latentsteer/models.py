@@ -8,7 +8,9 @@ regression line. Both classifiers are fitted by one damped Newton (IRLS)
 routine over the softmax objective, a binary attribute being its two-class
 case; it starts from zero and stops once max |grad| <= GRAD_TOL. All
 training is full batch and bit-deterministic for a given config: the only
-randomness is the train/test split permutation. A `ModelBundle` also holds
+randomness is the train/test split permutation, which `split_folds` draws;
+every fit takes either latents or the `Folds` it drew, so several fits over
+one sample can share one split. A `ModelBundle` also holds
 its models' rows stacked into one affine map, which steering reads.
 """
 
@@ -34,12 +36,14 @@ __all__ = [
     "LatentModel",
     "ModelBundle",
     "BundleProvenance",
+    "Folds",
     "decide",
     "fit_binary",
     "fit_multiclass",
     "fit_regressor",
     "logistic_loss_and_grad",
     "softmax_loss_and_grad",
+    "split_folds",
 ]
 
 BINARY = "binary"
@@ -266,6 +270,46 @@ def _split(n: int, cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
     return perm[:n_train], perm[n_train:]
 
 
+@dataclass(frozen=True, eq=False)
+class Folds:
+    """A latent sample's train/test split, drawn once and read by every fit over the sample.
+
+    train and test are the gathered rows latents[tr] and latents[te], read-only;
+    split_fraction and seed are those of the config the split was drawn with.
+    """
+
+    train: np.ndarray  # (len(tr), dim)
+    test: np.ndarray   # (len(te), dim)
+    tr: np.ndarray
+    te: np.ndarray
+    split_fraction: float
+    seed: int
+
+    def __len__(self) -> int:
+        return len(self.tr) + len(self.te)
+
+
+def split_folds(latents, cfg: TrainingConfig) -> Folds:
+    """Split (n, dim) latents into the train and test folds that cfg draws."""
+    X = _latent_rows(latents)
+    tr, te = _split(X.shape[0], cfg)
+    folds = Folds(X[tr], X[te], tr, te, cfg.split_fraction, cfg.seed)
+    for a in (folds.train, folds.test, tr, te):
+        a.flags.writeable = False
+    return folds
+
+
+def _folds(latents, cfg: TrainingConfig) -> Folds:
+    """latents as Folds: split by cfg if an array, checked against cfg if already split."""
+    if not isinstance(latents, Folds):
+        return split_folds(latents, cfg)
+    if (latents.split_fraction, latents.seed) != (cfg.split_fraction, cfg.seed):
+        raise ValueError(f"folds drawn with split_fraction={latents.split_fraction}, "
+                         f"seed={latents.seed}; the config has split_fraction="
+                         f"{cfg.split_fraction}, seed={cfg.seed}")
+    return latents
+
+
 def _min_norm_solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The minimum-norm x with H x = r for a symmetric positive semi-definite H.
 
@@ -362,9 +406,9 @@ def _fit_classes(latents, labels: list[str], names: tuple[str, ...], cfg: Traini
     Returns W, b, the test fold's latents and class indices, and the fit
     record, whose test_accuracy the caller fills in with its decision rule.
     """
-    X = _latent_rows(latents)
-    if len(labels) != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} latents but {len(labels)} labels")
+    folds = _folds(latents, cfg)
+    if len(labels) != len(folds):
+        raise ValueError(f"{len(folds)} latents but {len(labels)} labels")
     unknown = sorted(set(labels) - set(names))
     if unknown:
         raise UnlearnableAttributeError(f"labels outside the class set: {unknown}")
@@ -373,15 +417,16 @@ def _fit_classes(latents, labels: list[str], names: tuple[str, ...], cfg: Traini
         raise UnlearnableAttributeError(f"classes with fewer than 2 samples: {missing}")
     index = {c: i for i, c in enumerate(names)}
     y = np.array([index[label] for label in labels])
-    tr, te = _split(X.shape[0], cfg)
-    W, b, loss, grad_norm, steps = _newton(X[tr], np.eye(len(names))[y[tr]], l2, cfg.epochs)
+    W, b, loss, grad_norm, steps = _newton(folds.train, np.eye(len(names))[y[folds.tr]], l2,
+                                           cfg.epochs)
     meta = TrainingMeta(epochs_run=steps, final_loss=loss, grad_norm=grad_norm)
-    return W, b, X[te], y[te], meta
+    return W, b, folds.test, y[folds.te], meta
 
 
 def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
                positive_class: str | None = None) -> LatentModel:
-    """Fit a binary logistic classifier over (n, dim) latents and n labels of two classes.
+    """Fit a binary logistic classifier over (n, dim) latents (or their Folds) and n labels of
+    two classes.
 
     positive_class maps to the positive score side (default: the larger of
     the two labels). This is the two-class softmax fit with twice the L2
@@ -410,8 +455,9 @@ def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = Trainin
                    class_names: Sequence[str] | None = None) -> LatentModel:
     """Fit one softmax classifier over k classes by damped Newton steps.
 
-    class_names fixes the class order (default: sorted unique labels); every
-    named class must appear at least twice in the labels.
+    latents are (n, dim), or their Folds. class_names fixes the class order
+    (default: sorted unique labels); every named class must appear at least
+    twice in the labels.
     """
     labels = list(labels)
     names = tuple(class_names) if class_names is not None else tuple(sorted(set(labels)))
@@ -423,20 +469,21 @@ def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = Trainin
 
 
 def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> LatentModel:
-    """Fit a regression line by ridge-regularized normal equations.
+    """Fit a regression line over (n, dim) latents (or their Folds) by ridge-regularized normal
+    equations.
 
     The ridge term is a fixed 1e-6 on the Gram matrix, just enough to keep it
     solvable; held-out RMSE is recorded on the split's test fold.
     """
-    X = _latent_rows(latents)
+    folds = _folds(latents, cfg)
     y = np.asarray(targets, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"{X.shape[0]} latents but targets have shape {y.shape}")
-    if X.shape[0] < 2:
+    if y.shape != (len(folds),):
+        raise ValueError(f"{len(folds)} latents but targets have shape {y.shape}")
+    if len(folds) < 2:
         raise UnlearnableAttributeError("regression needs at least 2 samples")
 
-    tr, te = _split(X.shape[0], cfg)
-    Xtr, d = X[tr], X.shape[1]
+    Xtr, tr, te = folds.train, folds.tr, folds.te
+    d = Xtr.shape[1]
     # the Gram matrix of [X, 1] from its blocks, without copying X into [X, 1]
     gram = np.empty((d + 1, d + 1))
     gram[:d, :d] = Xtr.T @ Xtr
@@ -446,7 +493,7 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
     beta = np.linalg.solve(gram, np.append(Xtr.T @ y[tr], y[tr].sum()))
     slope, intercept = beta[:-1], float(beta[-1])
 
-    resid = X[te] @ slope + intercept - y[te]
+    resid = folds.test @ slope + intercept - y[te]
     rmse = float(np.sqrt(np.mean(resid**2)))
     return LatentModel(CONTINUOUS, slope[None, :], [intercept], (), TrainingMeta(test_rmse=rmse))
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -33,12 +35,14 @@ from .models import (
     MULTICLASS,
     AttributeSchema,
     BundleProvenance,
+    Folds,
     LatentModel,
     ModelBundle,
     TrainingConfig,
     fit_binary,
     fit_multiclass,
     fit_regressor,
+    split_folds,
 )
 from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _label_latents, build_world,
                     generate_image, oracle_label)
@@ -86,14 +90,57 @@ def ground_truth_bundle(world: SyntheticWorld) -> ModelBundle:
     return ModelBundle(tuple(world.config.attributes), models)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fit_passes(attr: AttributeSchema) -> int:
+    """Data passes per Newton step of attr's fit: k(k - 1)/2 Hessian blocks for k classes."""
+    k = len(attr.classes)
+    return k * (k - 1) // 2
+
+
+def _fit_attribute(attr: AttributeSchema, y: np.ndarray, folds: Folds,
+                   cfg: TrainingConfig) -> LatentModel:
+    """attr's model fitted to its labels y (class indices or values); an unlearnable one is named."""
+    try:
+        if attr.kind == BINARY:
+            return fit_binary(folds, np.take(attr.classes, y).tolist(), cfg,
+                              positive_class=attr.classes[1])
+        if attr.kind == MULTICLASS:
+            return fit_multiclass(folds, np.take(attr.classes, y).tolist(), cfg,
+                                  class_names=attr.classes)
+        return fit_regressor(folds, y, cfg)
+    except UnlearnableAttributeError as exc:
+        raise UnlearnableAttributeError(f"attribute {attr.name!r}: {exc}") from exc
+
+
+def _settled(fn, *args) -> Future:
+    """fn(*args) run on the calling thread, as a finished future."""
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
 def run_training(world: SyntheticWorld, n_samples: int,
                  cfg: TrainingConfig = TrainingConfig()) -> ModelBundle:
     """Sample latents, label them through the image pathway, fit every attribute.
 
     Classifiers take damped Newton steps (at most cfg.epochs), the regression
-    line is solved in closed form. Each fit holds out a test fold per
-    cfg.split_fraction and records its held-out metric in the bundle
-    provenance. Deterministic given the world and cfg.seed.
+    line is solved in closed form. The fits share one train/test split per
+    cfg.split_fraction and record their held-out metrics in the bundle
+    provenance. They run concurrently: the calling thread fits the costliest
+    attribute and a pool of (usable CPUs - 1) threads the others; each fit
+    makes the same numpy calls on the same arrays whatever the thread, so the
+    bundle does not depend on the number of CPUs. If fits fail, the first
+    failing attribute in schema order raises once every fit has finished.
+    Deterministic given the world and cfg.seed.
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
@@ -103,22 +150,26 @@ def run_training(world: SyntheticWorld, n_samples: int,
 
     blocks = [_label_latents(world, Z[s:s + ROW_BLOCK], noise_seeds[s:s + ROW_BLOCK])
               for s in range(0, n_samples, ROW_BLOCK)]
+    folds = split_folds(Z, cfg)
+    del Z  # the folds hold every row the fits read
 
-    models = {}
+    attrs = world.config.attributes
+    jobs = [(attr, np.concatenate([labels[attr.name] for labels in blocks]), folds, cfg)
+            for attr in attrs]
+    first, *rest = sorted(range(len(attrs)), key=lambda i: -_fit_passes(attrs[i]))
+    workers = min(_usable_cpus() - 1, len(rest))
+    if workers > 0:
+        with ThreadPoolExecutor(workers) as pool:  # leaving it waits for every fit
+            fits = {i: pool.submit(_fit_attribute, *jobs[i]) for i in rest}
+            fits[first] = _settled(_fit_attribute, *jobs[first])
+    else:
+        fits = {i: _settled(_fit_attribute, *job) for i, job in enumerate(jobs)}
+
+    models: dict[str, LatentModel] = {}
     metrics: dict[str, float] = {}
-    for attr in world.config.attributes:
-        y = np.concatenate([labels[attr.name] for labels in blocks])
-        try:
-            if attr.is_discrete:
-                y = np.take(attr.classes, y).tolist()
-                model = (fit_binary(Z, y, cfg, positive_class=attr.classes[1])
-                         if attr.kind == BINARY else fit_multiclass(Z, y, cfg, class_names=attr.classes))
-            else:
-                model = fit_regressor(Z, y, cfg)
-        except UnlearnableAttributeError as exc:
-            raise UnlearnableAttributeError(f"attribute {attr.name!r}: {exc}") from exc
-        models[attr.name] = model
-        meta = model.training_meta
+    for i, attr in enumerate(attrs):
+        models[attr.name] = fits[i].result()  # the first failure in schema order raises
+        meta = models[attr.name].training_meta
         metrics[attr.name] = meta.test_accuracy if attr.is_discrete else meta.test_rmse
 
     provenance = BundleProvenance(
@@ -127,7 +178,7 @@ def run_training(world: SyntheticWorld, n_samples: int,
         train_config=cfg,
         metrics=metrics,
     )
-    return ModelBundle(tuple(world.config.attributes), models, provenance)
+    return ModelBundle(tuple(attrs), models, provenance)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Linear model training: logistic, softmax, ridge, and their gradients."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from latentsteer import (
     fit_multiclass,
     fit_regressor,
     sample_latents,
+    split_folds,
 )
 from latentsteer import models
 from latentsteer.models import (GRAD_TOL, HESSIAN_ROWS, _newton, _split,
@@ -135,6 +137,20 @@ def test_fit_multiclass_class_order_permutation_is_relabeling():
     probe = sample_latents(200, 2, seed=10) * 3.0
     for z in probe:
         assert a.predict(z) == b.predict(z)
+
+
+@pytest.mark.parametrize("fit", [fit_binary, fit_multiclass, fit_regressor])
+@pytest.mark.parametrize("change", [{"seed": 4}, {"split_fraction": 0.7}])
+def test_a_fit_rejects_folds_drawn_with_another_split(fit, change):
+    X, y = three_clouds(20) if fit is fit_multiclass else two_clouds(30)[:2]
+    targets = X[:, 0] if fit is fit_regressor else y
+    cfg = TrainingConfig(seed=3)
+    folds = split_folds(X, cfg)
+    shared, own = fit(folds, targets, cfg), fit(X, targets, cfg)
+    assert shared.weights.tobytes() == own.weights.tobytes()
+    assert shared.training_meta == own.training_meta
+    with pytest.raises(ValueError, match="folds drawn with split_fraction=0.8, seed=3"):
+        fit(folds, targets, replace(cfg, **change))
 
 
 def test_fit_regressor_exact_recovery():

@@ -1,6 +1,7 @@
 """Training loop, evaluation harness, cosine reports, entanglement sweep."""
 
 import functools
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -30,8 +31,11 @@ from latentsteer import (
     run_training,
     sweep_entanglement,
 )
-from latentsteer.errors import WorldConfigError
-from latentsteer.models import LatentModel, ModelBundle
+from latentsteer import models
+from latentsteer.errors import UnlearnableAttributeError, WorldConfigError
+from latentsteer.geometry import sample_latents
+from latentsteer.models import Folds, LatentModel, ModelBundle
+from latentsteer.persist import bundle_to_payload, json_bytes
 from latentsteer.pipeline import EvalReport
 
 
@@ -75,6 +79,67 @@ def test_run_training_noiseless_binary_accuracy_bar():
     bundle = run_training(world, 10000, TrainingConfig(epochs=1000, seed=3))
     assert bundle.provenance.metrics["style"] >= 0.99
     assert bundle.provenance.metrics["pose"] >= 0.99
+
+
+def mixed_world(noise=0.1):
+    """Continuous first, so schema order differs from the fits' cost order."""
+    attrs = (AttributeSchema.continuous("level", -6.0, 6.0),
+             AttributeSchema.multiclass("hair", ("black", "brown", "blond")),
+             AttributeSchema.binary("style", "tee", "dress"),
+             AttributeSchema.binary("pose", "back", "front"))
+    return build_world(WorldConfig(dim=16, attributes=attrs, label_noise=noise, seed=4))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_run_training_saves_the_bytes_of_serial_fits_over_arrays(monkeypatch, cpus):
+    """The concurrent fits over one shared split give the bundle that the fits called one
+    after another on the latent array give, whatever the number of usable CPUs."""
+    world, cfg = mixed_world(), replace(FAST, seed=7)
+    calls = []  # (fit, labels, keyword arguments) per fit run_training makes
+
+    def recorded(fit):
+        def call(latents, labels, cfg, **kwargs):
+            assert isinstance(latents, Folds)
+            calls.append((fit, latents, labels, kwargs))
+            return fit(latents, labels, cfg, **kwargs)
+        return call
+
+    for name in ("fit_binary", "fit_multiclass", "fit_regressor"):
+        monkeypatch.setattr(pipeline, name, recorded(getattr(models, name)))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    bundle = run_training(world, 600, cfg)
+
+    assert len(calls) == 4 and len({id(folds) for _, folds, _, _ in calls}) == 1
+    Z = sample_latents(600, world.latent_dim, cfg.seed)
+    # each call's attribute, told by the class argument run_training passes
+    attribute = {None: "level", ("black", "brown", "blond"): "hair", "dress": "style",
+                 "front": "pose"}
+    serial = {attribute[kwargs.get("positive_class", kwargs.get("class_names"))]:
+              fit(Z, labels, cfg, **kwargs) for fit, _, labels, kwargs in calls}
+    expected = ModelBundle(bundle.schema, serial, bundle.provenance)
+    assert json_bytes(bundle_to_payload(bundle)) == json_bytes(bundle_to_payload(expected))
+
+
+def test_run_training_raises_the_first_failure_in_schema_order_once_every_fit_ends(monkeypatch):
+    finished = []
+
+    def fails(latents, labels, cfg, **kwargs):
+        raise UnlearnableAttributeError("no luck")
+
+    def multiclass(*args, **kwargs):
+        model = models.fit_multiclass(*args, **kwargs)
+        finished.append("hair")
+        return model
+
+    monkeypatch.setattr(pipeline, "fit_binary", fails)
+    monkeypatch.setattr(pipeline, "fit_regressor", fails)
+    monkeypatch.setattr(pipeline, "fit_multiclass", multiclass)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    threads = threading.active_count()
+    with pytest.raises(UnlearnableAttributeError, match="^attribute 'level': no luck$"):
+        run_training(mixed_world(), 300, FAST)
+    assert finished == ["hair"]
+    assert threading.active_count() == threads
 
 
 def test_ground_truth_bundle_reproduces_world_decisions():
