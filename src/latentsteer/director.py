@@ -247,6 +247,11 @@ def _validate_spec(spec: ConditioningSpec, schema: tuple[AttributeSchema, ...]) 
             )
 
 
+def _overflow(cfg: DirectorConfig) -> DegenerateModelError:
+    return DegenerateModelError(f"the step overflows: a stepped latent or its scores are not "
+                                f"finite (delta_margin={cfg.delta_margin})")
+
+
 def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercepts: np.ndarray,
               classes: tuple[str, ...], cfg: DirectorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Multiclass move of each row toward its desired class index, and its redirect count.
@@ -254,6 +259,7 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
     Each round takes every row whose argmax is not yet the desired class
     across the (desired, current) pairwise boundary, delta_margin past it,
     in either sign_convention; at most MULTICLASS_MAX_REDIRECTS rounds.
+    Raises the step's overflow error in the round a moved row stops being finite.
     """
     z_work = Z.copy()
     count = np.zeros(len(Z), dtype=np.intp)
@@ -276,9 +282,13 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
             raise DegenerateModelError(
                 f"classes {classes[want[i]]!r} and {classes[current[i]]!r} share identical weights"
             )
-        s = -(np.einsum("nd,nd->n", pairs[pair], z_work[active])
-              + (intercepts[want] - intercepts[current])) / norm
-        z_work[active] += (s + cfg.delta_margin)[:, None] * units[pair]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            s = -(np.einsum("nd,nd->n", pairs[pair], z_work[active])
+                  + (intercepts[want] - intercepts[current])) / norm
+            stepped = z_work[active] + (s + cfg.delta_margin)[:, None] * units[pair]
+        if not np.isfinite(stepped).all():
+            raise _overflow(cfg)
+        z_work[active] = stepped
         count[active] += 1
     return z_work - Z, count
 
@@ -364,8 +374,7 @@ def _condition_rows(bundle: ModelBundle, Z: np.ndarray, targets: tuple[np.ndarra
         Z_prime[moved] += np.einsum("nr,rd->nd", coef[moved], bundle.units) + redirects[moved]
     S_prime = _scores(bundle, Z_prime)
     if not (np.isfinite(Z_prime).all() and np.isfinite(S_prime).all()):
-        raise DegenerateModelError(f"the step overflows: a stepped latent or its scores are not "
-                                   f"finite (delta_margin={cfg.delta_margin})")
+        raise _overflow(cfg)
     return BatchUpdate(bundle, targets, Z_prime, moved, S, S_prime, mismatch, mc_moves)
 
 

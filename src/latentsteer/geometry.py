@@ -122,12 +122,14 @@ def _scaled_norm(v: np.ndarray, norm_of) -> tuple[np.ndarray, np.ndarray, np.nda
     v times the power of two that brings its largest |entry| into [0.5, 1) keeps the caller's
     reduction norm_of from over- or underflowing, and np.ldexp scales the norm back. Both are exact,
     so the results equal norm_of(v) and v / norm_of(v) bit for bit where those neither over- nor
-    underflow.
+    underflow. A norm beyond the largest float is inf, silently: the scaled vector and its norm stay
+    finite, so the unit vector is still right.
     """
     e = np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1]
     scaled = np.ldexp(v, -e)
     n = norm_of(scaled)
-    return scaled, n, np.ldexp(n, e[..., 0])
+    with np.errstate(over="ignore"):
+        return scaled, n, np.ldexp(n, e[..., 0])
 
 
 def cosine_similarity(a, b) -> float:

@@ -269,7 +269,8 @@ def _block_means(world: SyntheticWorld, Z) -> np.ndarray:
         if attr.is_discrete:
             means[:, i] = decide(attr.kind, raw) / (len(attr.classes) - 1)
         elif world.config.continuous_profile == PROFILE_SIGMOID:
-            np.divide(1.0, np.exp(-raw[:, 0]) + 1.0, means[:, i])
+            with np.errstate(over="ignore"):  # exp(-raw) = inf reads as its limit, 0
+                np.divide(1.0, np.exp(-raw[:, 0]) + 1.0, means[:, i])
         else:
             means[:, i] = (np.clip(raw[:, 0], attr.lo, attr.hi) - attr.lo) / (attr.hi - attr.lo)
     return means
