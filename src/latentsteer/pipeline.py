@@ -91,16 +91,7 @@ def ground_truth_bundle(world: SyntheticWorld) -> ModelBundle:
 
 
 def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _fit_passes(attr: AttributeSchema) -> int:
-    """Data passes per Newton step of attr's fit: k(k - 1)/2 Hessian blocks for k classes."""
-    k = len(attr.classes)
-    return k * (k - 1) // 2
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _fit_attribute(attr: AttributeSchema, y: np.ndarray, folds: Folds,
@@ -156,7 +147,9 @@ def run_training(world: SyntheticWorld, n_samples: int,
     attrs = world.config.attributes
     jobs = [(attr, np.concatenate([labels[attr.name] for labels in blocks]), folds, cfg)
             for attr in attrs]
-    first, *rest = sorted(range(len(attrs)), key=lambda i: -_fit_passes(attrs[i]))
+    # costliest first: a k-class fit makes k(k - 1)/2 Hessian passes per Newton step, the
+    # regressor (k = 0) none
+    first, *rest = sorted(range(len(attrs)), key=lambda i: -len(attrs[i].classes))
     workers = min(_usable_cpus() - 1, len(rest))
     if workers > 0:
         with ThreadPoolExecutor(workers) as pool:  # leaving it waits for every fit

@@ -1,6 +1,7 @@
 """Training loop, evaluation harness, cosine reports, entanglement sweep."""
 
 import functools
+import sys
 import threading
 from dataclasses import replace
 
@@ -107,7 +108,12 @@ def test_run_training_saves_the_bytes_of_serial_fits_over_arrays(monkeypatch, cp
     for name in ("fit_binary", "fit_multiclass", "fit_regressor"):
         monkeypatch.setattr(pipeline, name, recorded(getattr(models, name)))
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    bundle = run_training(world, 600, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often while the fits share the folds
+    try:
+        bundle = run_training(world, 600, cfg)
+    finally:
+        sys.setswitchinterval(interval)
 
     assert len(calls) == 4 and len({id(folds) for _, folds, _, _ in calls}) == 1
     Z = sample_latents(600, world.latent_dim, cfg.seed)
