@@ -18,6 +18,8 @@ scores, or the world's noiseless reading of its block means.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -94,6 +96,32 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_thread_count() -> Callable[[], int] | None:
+    """OpenBLAS's thread-count getter in the library numpy loaded, or None if none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                           if "openblas" in line.lower()})
+        for lib in libs:
+            handle = ctypes.CDLL(lib)
+            for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads"):
+                getter = getattr(handle, symbol, None)
+                if getter is not None:
+                    getter.restype = ctypes.c_int
+                    return getter
+    except OSError:
+        pass
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads the BLAS runs each call on, read now; None if it cannot be read."""
+    getter = _openblas_thread_count()
+    return getter() if getter is not None else None
+
+
 def _fit_attribute(attr: AttributeSchema, y: np.ndarray, folds: Folds,
                    cfg: TrainingConfig) -> LatentModel:
     """attr's model fitted to its labels y (class indices or values); an unlearnable one is named."""
@@ -126,12 +154,14 @@ def run_training(world: SyntheticWorld, n_samples: int,
     Classifiers take damped Newton steps (at most cfg.epochs), the regression
     line is solved in closed form. The fits share one train/test split per
     cfg.split_fraction and record their held-out metrics in the bundle
-    provenance. They run concurrently: the calling thread fits the costliest
-    attribute and a pool of (usable CPUs - 1) threads the others; each fit
+    provenance. When the BLAS leaves cores free they run concurrently: the
+    calling thread fits the costliest attribute and a pool of
+    (usable CPUs // BLAS threads - 1) threads the others; when it does not,
+    or its thread count cannot be read, they run one after another. Each fit
     makes the same numpy calls on the same arrays whatever the thread, so the
-    bundle does not depend on the number of CPUs. If fits fail, the first
+    bundle does not depend on the number of workers. If fits fail, the first
     failing attribute in schema order raises once every fit has finished.
-    Deterministic given the world and cfg.seed.
+    Deterministic given the world, cfg.seed and the BLAS thread count.
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
@@ -150,7 +180,9 @@ def run_training(world: SyntheticWorld, n_samples: int,
     # costliest first: a k-class fit makes k(k - 1)/2 Hessian passes per Newton step, the
     # regressor (k = 0) none
     first, *rest = sorted(range(len(attrs)), key=lambda i: -len(attrs[i].classes))
-    workers = min(_usable_cpus() - 1, len(rest))
+    # a pool only where every fit's BLAS threads keep cores of their own; serial if unknown
+    blas = _blas_threads()
+    workers = min(_usable_cpus() // blas - 1, len(rest)) if blas else 0
     if workers > 0:
         with ThreadPoolExecutor(workers) as pool:  # leaving it waits for every fit
             fits = {i: pool.submit(_fit_attribute, *jobs[i]) for i in rest}

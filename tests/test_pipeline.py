@@ -1,8 +1,11 @@
 """Training loop, evaluation harness, cosine reports, entanglement sweep."""
 
 import functools
+import os
+import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +111,7 @@ def test_run_training_saves_the_bytes_of_serial_fits_over_arrays(monkeypatch, cp
     for name in ("fit_binary", "fit_multiclass", "fit_regressor"):
         monkeypatch.setattr(pipeline, name, recorded(getattr(models, name)))
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_blas_threads", lambda: 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often while the fits share the folds
     try:
@@ -141,11 +145,42 @@ def test_run_training_raises_the_first_failure_in_schema_order_once_every_fit_en
     monkeypatch.setattr(pipeline, "fit_regressor", fails)
     monkeypatch.setattr(pipeline, "fit_multiclass", multiclass)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(pipeline, "_blas_threads", lambda: 1)
     threads = threading.active_count()
     with pytest.raises(UnlearnableAttributeError, match="^attribute 'level': no luck$"):
         run_training(mixed_world(), 300, FAST)
     assert finished == ["hair"]
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus, blas, workers", [(1, 1, 0), (2, 1, 1), (8, 1, 3), (8, 2, 3),
+                                                 (8, 4, 1), (2, 2, 0), (2, 4, 0), (8, None, 0)])
+def test_run_training_pools_only_the_cores_the_blas_leaves_free(monkeypatch, cpus, blas,
+                                                                   workers):
+    """Each fit's BLAS threads keep a core each; an unreadable BLAS thread count fits serially."""
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_blas_threads", lambda: blas)
+    run_training(mixed_world(), 300, FAST)  # four attributes: three beside the calling thread's
+    assert pools == ([workers] if workers else [])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_blas_thread_count_is_read_from_the_library_numpy_loaded(threads):
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built against OpenBLAS")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+    proc = subprocess.run([sys.executable, "-c", "from latentsteer import pipeline; "
+                           "print(pipeline._blas_threads())"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == str(threads)
 
 
 def test_ground_truth_bundle_reproduces_world_decisions():
