@@ -399,20 +399,24 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
     chosen = {name: bool(mask[0]) for name, mask in batch.mismatch.items()}
     dist_before: dict[str, float] = {}
     dist_after: dict[str, float] = {}
-    for (name, kind, rows, _), target, now in zip(bundle.blocks, batch.targets, readout):
-        # a distance beyond the float range reads +-inf, silently, as _scaled_norm's norm does
-        with np.errstate(over="ignore"):
+    # a distance beyond the float range reads +-inf, silently, as _scaled_norm's norm does
+    with np.errstate(over="ignore"):
+        for (name, kind, rows, _), target, now in zip(bundle.blocks, batch.targets, readout):
             if kind == BINARY:
                 s = S[:, rows.start] / bundle.norms[rows.start]
             elif kind == MULTICLASS and chosen[name]:
-                # the first redirect's boundary: the desired class against the class before;
-                # each score is scaled before the difference, which may not fit a float unscaled
+                # the first redirect's boundary: the desired class against the class before
                 hi, lo = rows.start + target[0], rows.start + now[0]
-                norm = _scaled_norm(bundle.weights[hi] - bundle.weights[lo], np.linalg.norm)[2]
-                s = S[:, hi] / norm - S[:, lo] / norm
+                m, e_norm = np.frexp(
+                    _scaled_norm(bundle.weights[hi] - bundle.weights[lo], np.linalg.norm)[2])
+                # (S[hi] - S[lo]) / norm, bit for bit wherever it fits a float: the scores and
+                # the norm are first brought near 1 by powers of two, which is exact, so their
+                # difference cannot overflow; only the last scaling can, past the float range
+                e = np.frexp(np.maximum(abs(S[:, hi]), abs(S[:, lo])))[1]
+                s = np.ldexp((np.ldexp(S[:, hi], -e) - np.ldexp(S[:, lo], -e)) / m, e - e_norm)
             else:
                 continue
-        dist_before[name], dist_after[name] = (-s).tolist()
+            dist_before[name], dist_after[name] = (-s).tolist()
 
     return UpdateReport(
         z=z,

@@ -485,13 +485,21 @@ def test_condition_batch_rows_equal_single_condition(case):
             assert single.z_prime is single.z
 
 
-# from class c0 to c1 at z = 0: landed, the c1 - c0 score difference (1.8e308) is beyond the
-# float range, the distance past their boundary (2.47e307) is not
-FAR_MULTICLASS_STEP = (
-    ModelBundle((AttributeSchema.multiclass("m", ("c0", "c1", "c2")),),
-                {"m": LatentModel("multiclass", [[4.0, 2.0], [-3.0, 0.0], [0.0, 0.0]], np.zeros(3),
-                                  ("c0", "c1", "c2"))}),
-    np.zeros((1, 2)), [ConditioningSpec({"m": "c1"})], DirectorConfig())
+def far_multiclass_step(weights):
+    """A 3-class bundle with zero intercepts, z = 0 (class c0) and the target c1."""
+    classes = ("c0", "c1", "c2")
+    bundle = ModelBundle((AttributeSchema.multiclass("m", classes),),
+                         {"m": LatentModel("multiclass", weights, np.zeros(3), classes)})
+    return bundle, np.zeros((1, 2)), [ConditioningSpec({"m": "c1"})], DirectorConfig()
+
+
+# steps that land far past the c0-c1 boundary, with margins whose distance fits a float
+FAR_MULTICLASS_STEPS = [
+    # the c1 - c0 score difference after the step (1.8e308) does not
+    (far_multiclass_step([[4.0, 2.0], [-3.0, 0.0], [0.0, 0.0]]), 2.47e307),
+    # each score after the step over the rows' norm (4.4e-16) does not
+    (far_multiclass_step([[4.0, 2.0], [4.0, 2.0 + 4.4e-16], [0.0, 0.0]]), 1e300),
+]
 
 
 @settings(max_examples=200, deadline=None)
@@ -499,7 +507,8 @@ FAR_MULTICLASS_STEP = (
 # at the largest margin the first row's step overflows; the second row is already met
 @example((binary_bundle(direction=(3.0, 0.0)), np.array([[-1.0, 0.0], [1.0, 0.0]]),
           [ConditioningSpec({"flag": "pos"})] * 2, DirectorConfig()), 1e308)
-@example(FAR_MULTICLASS_STEP, 2.47e307)
+@example(*FAR_MULTICLASS_STEPS[0])
+@example(*FAR_MULTICLASS_STEPS[1])
 def test_a_step_of_any_margin_lands_or_raises(case, margin):
     """Each row's step lands, with z' and its scores finite, or raises DegenerateModelError,
     and the batch raises exactly when some row raises alone. A landed report's distance may
@@ -524,8 +533,10 @@ def test_a_step_of_any_margin_lands_or_raises(case, margin):
             condition_batch(Z, specs, bundle, cfg)
 
 
-def test_a_landed_step_far_past_a_multiclass_boundary_reports_its_finite_distance():
-    bundle, Z, specs, cfg = FAR_MULTICLASS_STEP
-    report = condition(Z[0], specs[0], bundle, replace(cfg, delta_margin=2.47e307))
+@pytest.mark.parametrize("case, margin", FAR_MULTICLASS_STEPS,
+                         ids=["score_difference", "score_over_norm"])
+def test_a_landed_step_far_past_a_multiclass_boundary_reports_a_finite_distance(case, margin):
+    bundle, Z, specs, cfg = case
+    report = condition(Z[0], specs[0], bundle, replace(cfg, delta_margin=margin))
     assert report.labels_after.discrete == {"m": "c1"}
-    assert report.distances_after["m"] == pytest.approx(-2.47e307, rel=1e-12)
+    assert -np.inf < report.distances_after["m"] < 0.0
