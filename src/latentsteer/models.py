@@ -246,15 +246,20 @@ def softmax_loss_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.nda
 
 def _softmax_terms(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray,
                    l2: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """softmax_loss_and_grad's loss and gradient, and the (n, k) class probabilities."""
-    logits = X @ W.T + b
-    logits -= logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(logits).sum(axis=1))
-    loss = float(np.mean(logz - (logits * Y).sum(axis=1)))
+    """softmax_loss_and_grad's loss and gradient, and the (k, n) class probabilities.
+
+    Logits and probabilities are class-major; the residual stays (n, k), as the
+    gradient's BLAS call needs to keep its bytes at every dim. np.dot releases
+    the GIL; matmul keeps it for outputs of at most about 500 elements.
+    """
+    logits = W @ X.T + b[:, None]
+    logits -= logits.max(axis=0)
+    logz = np.log(np.exp(logits).sum(axis=0))
+    loss = float(np.mean(logz - (logits * Y.T).sum(axis=0)))
     loss += 0.5 * l2 * float((W * W).sum())
-    P = np.exp(logits - logz[:, None])
-    resid = P - Y
-    grad_W = resid.T @ X / X.shape[0] + l2 * W
+    P = np.exp(logits - logz)
+    resid = P.T - Y
+    grad_W = np.dot(resid.T, X) / X.shape[0] + l2 * W
     grad_b = resid.mean(axis=0)
     return loss, grad_W, grad_b, P
 
@@ -369,11 +374,11 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
         H = np.empty((k, d + 1, k, d + 1))
         for a in range(k - 1):
             for c in range(a, k - 1):
-                s = P[:, a] * (float(a == c) - P[:, c]) / n
+                s = P[a] * (float(a == c) - P[c]) / n
                 H[a, :d, c, :d] = sum(
                     X[i:i + HESSIAN_ROWS].T @ (X[i:i + HESSIAN_ROWS] * s[i:i + HESSIAN_ROWS, None])
                     for i in range(0, n, HESSIAN_ROWS))
-                H[a, :d, c, d] = H[a, d, c, :d] = s @ X
+                H[a, :d, c, d] = H[a, d, c, :d] = np.dot(s, X)
                 H[a, d, c, d] = s.sum()
                 H[c, :, a, :] = H[a, :, c, :].T
             H[a, :, k - 1, :] = -H[a, :, :k - 1, :].sum(axis=1)
@@ -399,24 +404,32 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     return W, b, loss, float(np.abs(g).max()), steps
 
 
-def _fit_classes(latents, labels: list[str], names: tuple[str, ...], cfg: TrainingConfig,
-                 l2: float):
+def _label_classes(labels) -> tuple[list, np.ndarray, np.ndarray]:
+    """labels' sorted distinct values as given, each label's index among them, their counts."""
+    present, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return present.tolist(), inverse, counts
+
+
+def _fit_classes(latents, labels, names: tuple, cfg: TrainingConfig, l2: float):
     """Checks, split and Newton fit shared by both classifiers.
 
-    Returns W, b, the test fold's latents and class indices, and the fit
-    record, whose test_accuracy the caller fills in with its decision rule.
+    labels come from _label_classes. Returns W, b, the test fold's latents and
+    class indices, and the fit record, whose test_accuracy the caller fills
+    in with its decision rule.
     """
     folds = _folds(latents, cfg)
-    if len(labels) != len(folds):
-        raise ValueError(f"{len(folds)} latents but {len(labels)} labels")
-    unknown = sorted(set(labels) - set(names))
+    present, inverse, counts = labels
+    if len(inverse) != len(folds):
+        raise ValueError(f"{len(folds)} latents but {len(inverse)} labels")
+    index = {c: i for i, c in enumerate(names)}
+    unknown = [c for c in present if c not in index]
     if unknown:
         raise UnlearnableAttributeError(f"labels outside the class set: {unknown}")
-    missing = [c for c in names if labels.count(c) < 2]
+    count = dict(zip(present, counts.tolist()))
+    missing = [c for c in names if count.get(c, 0) < 2]
     if missing:
         raise UnlearnableAttributeError(f"classes with fewer than 2 samples: {missing}")
-    index = {c: i for i, c in enumerate(names)}
-    y = np.array([index[label] for label in labels])
+    y = np.array([index[c] for c in present], dtype=np.intp)[inverse]
     W, b, loss, grad_norm, steps = _newton(folds.train, np.eye(len(names))[y[folds.tr]], l2,
                                            cfg.epochs)
     meta = TrainingMeta(epochs_run=steps, final_loss=loss, grad_norm=grad_norm)
@@ -426,7 +439,7 @@ def _fit_classes(latents, labels: list[str], names: tuple[str, ...], cfg: Traini
 def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
                positive_class: str | None = None) -> LatentModel:
     """Fit a binary logistic classifier over (n, dim) latents (or their Folds) and n labels of
-    two classes.
+    two classes (a list or an array).
 
     positive_class maps to the positive score side (default: the larger of
     the two labels). This is the two-class softmax fit with twice the L2
@@ -434,8 +447,8 @@ def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingCon
     logistic one on w = their difference. Held-out accuracy and convergence
     are recorded in training_meta.
     """
-    labels = list(labels)
-    present = sorted(set(labels))
+    labels = _label_classes(labels)
+    present = labels[0]
     if len(present) != 2:
         raise UnlearnableAttributeError(f"binary fit needs exactly 2 classes, got {present}")
     if positive_class is not None and positive_class not in present:
@@ -455,12 +468,12 @@ def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = Trainin
                    class_names: Sequence[str] | None = None) -> LatentModel:
     """Fit one softmax classifier over k classes by damped Newton steps.
 
-    latents are (n, dim), or their Folds. class_names fixes the class order
-    (default: sorted unique labels); every named class must appear at least
-    twice in the labels.
+    latents are (n, dim), or their Folds; labels a list or an array. class_names fixes
+    the class order (default: sorted unique labels); every named class must appear at
+    least twice in the labels.
     """
-    labels = list(labels)
-    names = tuple(class_names) if class_names is not None else tuple(sorted(set(labels)))
+    labels = _label_classes(labels)
+    names = tuple(class_names) if class_names is not None else tuple(labels[0])
     if len(names) < 2:
         raise UnlearnableAttributeError(f"need at least 2 classes, got {list(names)}")
     W, b, Xte, yte, meta = _fit_classes(latents, labels, names, cfg, cfg.l2_penalty)
@@ -490,7 +503,7 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
     gram[:d, d] = gram[d, :d] = Xtr.sum(axis=0)
     gram[d, d] = len(tr)
     gram += 1e-6 * np.eye(d + 1)
-    beta = np.linalg.solve(gram, np.append(Xtr.T @ y[tr], y[tr].sum()))
+    beta = np.linalg.solve(gram, np.append(np.dot(Xtr.T, y[tr]), y[tr].sum()))
     slope, intercept = beta[:-1], float(beta[-1])
 
     resid = folds.test @ slope + intercept - y[te]

@@ -127,10 +127,10 @@ def _fit_attribute(attr: AttributeSchema, y: np.ndarray, folds: Folds,
     """attr's model fitted to its labels y (class indices or values); an unlearnable one is named."""
     try:
         if attr.kind == BINARY:
-            return fit_binary(folds, np.take(attr.classes, y).tolist(), cfg,
+            return fit_binary(folds, np.take(attr.classes, y), cfg,
                               positive_class=attr.classes[1])
         if attr.kind == MULTICLASS:
-            return fit_multiclass(folds, np.take(attr.classes, y).tolist(), cfg,
+            return fit_multiclass(folds, np.take(attr.classes, y), cfg,
                                   class_names=attr.classes)
         return fit_regressor(folds, y, cfg)
     except UnlearnableAttributeError as exc:

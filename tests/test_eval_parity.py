@@ -13,14 +13,16 @@ _spec.loader.exec_module(eval_parity)
 
 
 def _figures(style_acc=0.9, joint=0.8, rmse=0.02, weights=(1.0, -2.0), intercept=0.5,
-             metric=0.963, iterations=7):
+             metric=0.963, iterations=7, bundle_sha256=None):
     report = {"trials": 2000, "accuracy": {"style": style_acc}, "joint": joint,
               "rmse": {"smile": rmse}}
     return {"reports": {"latent seed=1": report, "end2end seed=1": dict(report, rmse={})},
             "training": {"style": {"metric": metric, "iterations": iterations,
                                    "weights": [list(weights)], "intercepts": [intercept]}},
             "cli": {"eval --mode latent": "exit 0\nevaluation: latent\n",
-                    "eval --mode latent csv": "attribute,metric\n"}}
+                    "eval --mode latent csv": "attribute,metric\n"},
+            "bundle_sha256": bundle_sha256 or {"1": {"2000": "a1", "10000": "b1"},
+                                               "2": {"2000": "a2", "10000": "b2"}}}
 
 
 def test_equal_figures_compare_equal():
@@ -28,6 +30,7 @@ def test_equal_figures_compare_equal():
     assert c["reports"] == 2 and c["accuracies_equal"] and c["reports_differing"] == {}
     assert c["rmse_max_rel_diff"] == 0.0 and c["accuracy_max_z"] == 0.0
     assert c["cli_outputs"] == 2 and c["cli_differing"] == [] and c["cli_texture_only"] == []
+    assert c["bundles_differing"] == []
     assert c["training"]["style"] == {"iterations": [7, 7], "metric_equal": True,
                                       "weights_rel_diff": 0.0, "intercepts_rel_diff": 0.0}
 
@@ -81,6 +84,31 @@ def test_cli_outputs_that_differ_by_a_byte_or_are_missing_are_listed():
     c = eval_parity.compare(_figures(), head)
     assert c["accuracies_equal"] and c["reports_differing"] == {}
     assert c["cli_differing"] == ["eval --mode latent", "eval --mode latent csv"]
+
+
+def test_bundle_hashes_that_differ_or_are_missing_are_listed_by_thread_count_and_size():
+    head = _figures(bundle_sha256={"1": {"2000": "a1", "10000": "c1"}, "2": {"2000": "a2"}})
+    c = eval_parity.compare(_figures(), head)
+    assert c["bundles_differing"] == ["1 threads N=10000", "2 threads N=10000"]
+    assert c["accuracies_equal"] and c["cli_differing"] == []
+
+
+def test_bundle_hashes_are_those_of_the_saved_bundles(tmp_path, monkeypatch):
+    import hashlib
+    import sys
+    from latentsteer import TrainingConfig, build_world, persist, run_training
+
+    monkeypatch.setattr(eval_parity, "HASH_SAMPLES", (300, 400))
+    monkeypatch.setattr(sys, "path", list(sys.path))  # bundle_hashes puts the tree's bench first
+    hashes = eval_parity.bundle_hashes(Path(__file__).resolve().parent.parent)
+    from workloads import world_config
+
+    world = build_world(world_config())
+    for n in (300, 400):
+        path = tmp_path / f"{n}.json"
+        persist.save_bundle(run_training(world, n, TrainingConfig(epochs=1000, seed=3)), path)
+        assert hashes[str(n)] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert hashes["300"] != hashes["400"]
 
 
 def _pgm(attribute_pixel=10, texture_pixel=20):

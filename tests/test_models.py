@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentsteer import (
     AttributeSchema,
@@ -209,11 +211,40 @@ def test_fits_reject_latents_that_are_not_a_finite_matrix(fit, latents, message)
      "need at least 2 classes, got \\['a'\\]"),
     (fit_regressor, np.zeros((10, 1)), {}, ValueError,
      "10 latents but targets have shape \\(10, 1\\)"),
-], ids=["label count", "unknown label", "absent positive class", "one class", "target shape"])
+    (fit_multiclass, ["a"] * 9 + ["b"], {}, UnlearnableAttributeError,
+     "classes with fewer than 2 samples: \\['b'\\]"),
+    (fit_binary, ["a", "b", "c", "b", "a"] * 2, {}, UnlearnableAttributeError,
+     "binary fit needs exactly 2 classes, got \\['a', 'b', 'c'\\]"),
+    (fit_multiclass, [0, 1] * 5, {"class_names": ("a", "b")}, UnlearnableAttributeError,
+     "labels outside the class set: \\[0, 1\\]"),
+], ids=["label count", "unknown label", "absent positive class", "one class", "target shape",
+        "rare class", "three classes", "non-string labels"])
 def test_fits_reject_labels_that_do_not_fit_the_latents(fit, labels, kwargs, error, message):
     X = np.random.default_rng(0).standard_normal((10, 3))
-    with pytest.raises(error, match=message):
-        fit(X, labels, TrainingConfig(seed=0), **kwargs)
+    for given_labels in (list(labels), np.asarray(labels)):  # the same labels, either form
+        with pytest.raises(error, match=message):
+            fit(X, given_labels, TrainingConfig(seed=0), **kwargs)
+
+
+@pytest.mark.parametrize("fit, kwargs", [(fit_binary, {}), (fit_binary, {"positive_class": "c0"}),
+                                         (fit_multiclass, {}),
+                                         (fit_multiclass, {"class_names": ("c2", "c0", "c1")})])
+@pytest.mark.parametrize("as_ints", [False, True], ids=["names", "ints"])
+def test_a_fit_given_labels_as_a_list_or_an_array_returns_the_same_model(fit, kwargs, as_ints):
+    X, y = three_clouds(seed=5)
+    if fit is fit_binary:
+        X, y = X[:200], y[:200]  # the clouds of c0 and c1
+    if as_ints:
+        y = [int(label[1:]) for label in y]
+        kwargs = {key: (int(v[1:]) if isinstance(v, str) else tuple(int(c[1:]) for c in v))
+                  for key, v in kwargs.items()}
+    cfg = TrainingConfig(seed=1)
+    listed, arrayed = fit(X, y, cfg, **kwargs), fit(X, np.asarray(y), cfg, **kwargs)
+    assert np.array_equal(listed.weights, arrayed.weights)
+    assert np.array_equal(listed.intercepts, arrayed.intercepts)
+    assert listed.training_meta == arrayed.training_meta
+    assert listed.classes == arrayed.classes
+    assert [type(c) for c in arrayed.classes] == [int if as_ints else str] * len(listed.classes)
 
 
 def test_fit_regressor_too_few_samples():
@@ -535,6 +566,36 @@ def _reference_newton(X, Y, l2, max_iter):
         loss, gW, gb = trial
         steps += 1
     return W, b, loss, float(np.abs(g).max()), steps
+
+
+def _row_major_softmax_terms(W, b, X, Y, l2):
+    """The softmax pass over (n, k) logits and probabilities, as the fits made it before
+    they ran class-major."""
+    logits = X @ W.T + b
+    logits -= logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(logits).sum(axis=1))
+    loss = float(np.mean(logz - (logits * Y).sum(axis=1)))
+    loss += 0.5 * l2 * float((W * W).sum())
+    P = np.exp(logits - logz[:, None])
+    resid = P - Y
+    grad_W = resid.T @ X / X.shape[0] + l2 * W
+    grad_b = resid.mean(axis=0)
+    return loss, grad_W, grad_b, P
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3000), st.integers(1, 80), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-4, 1e-2]), st.floats(0.01, 30.0))
+def test_the_class_major_softmax_pass_keeps_the_row_major_bytes(k, n, d, seed, l2, scale):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * scale
+    Y = np.eye(k)[rng.integers(0, k, size=n)]
+    W, b = rng.standard_normal((k, d)), rng.standard_normal(k)
+    loss, grad_W, grad_b, P = _row_major_softmax_terms(W, b, X, Y, l2)
+    got_loss, got_W, got_b = softmax_loss_and_grad(W, b, X, Y, l2)
+    assert got_loss == loss
+    assert np.array_equal(got_W, grad_W) and np.array_equal(got_b, grad_b)
+    assert np.array_equal(models._softmax_terms(W, b, X, Y, l2)[3].T, P)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

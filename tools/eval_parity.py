@@ -23,7 +23,12 @@ training seed 3:
   `generate --dump-image` requests. The requests run three times over: on
   the N=2,000 bundle, on the world's ground-truth bundle written over the
   same file, and on the N=2,000 bundle written back, so a loader that
-  served a stale bundle would show.
+  served a stale bundle would show;
+- the sha256 of the `save_bundle` file of the bundles trained at N=2,000 and
+  N=10,000 (as above), once under each of 1 and 2 OpenBLAS threads, each
+  thread count in a fresh process of its own. On a 2-core machine one
+  thread lets `run_training` fit concurrently and two make it fit serially,
+  so both fit paths are hashed.
 
 The output holds both revisions' figures (weights and CLI output left out)
 and their comparison: the report fields that differ by repr, the largest
@@ -33,7 +38,8 @@ and the largest relative weight and intercept differences, and the CLI
 outputs that differ byte for byte. A PGM whose attribute blocks are equal
 and whose texture block (the last, square one, which hashes the bytes of
 the latent) differs is listed apart, under `cli_texture_only`: its latent
-moved in its last bits at most. Uses the standard library and numpy, and
+moved in its last bits at most. Every bundle hash that differs is listed
+under `bundles_differing`, as "<threads> threads N=<n>". Uses the standard library and numpy, and
 changes nothing under bench/.
 
 A change that keeps the eval's random stream should read no report field
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -58,7 +65,9 @@ from pathlib import Path
 
 import numpy as np
 
-BLAS_THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+HASH_THREADS = (1, 2)  # the BLAS thread counts the bundles are hashed under
+HASH_SAMPLES = (2000, 10_000)
 
 
 def _number(x):
@@ -86,6 +95,25 @@ def measure(tree: Path) -> dict:
                           "weights": model.weights.tolist(),
                           "intercepts": model.intercepts.tolist()}
     return {"reports": reports, "training": training, "cli": cli_outputs(world, bundle)}
+
+
+def bundle_hashes(tree: Path) -> dict:
+    """sha256 of the saved bundles trained at each of HASH_SAMPLES, by sample count.
+
+    The training is measure()'s, under the BLAS thread count of this process.
+    """
+    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
+    from latentsteer import TrainingConfig, build_world, persist, run_training
+    from workloads import world_config
+
+    world = build_world(world_config())
+    hashes = {}
+    with tempfile.TemporaryDirectory(prefix="eval-parity-bundle-") as tmp:
+        path = Path(tmp) / "bundle.json"
+        for n in HASH_SAMPLES:
+            persist.save_bundle(run_training(world, n, TrainingConfig(epochs=1000, seed=3)), path)
+            hashes[str(n)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
 
 
 def eval_reports(world, bundle, trials: int) -> dict:
@@ -228,39 +256,59 @@ def compare(base: dict, head: dict) -> dict:
             "reports_differing": differing, "rmse_max_rel_diff": rmse_rel,
             "accuracy_max_z": z_max, "training": training,
             "cli_outputs": len(base["cli"]), "cli_differing": cli_differing,
-            "cli_texture_only": texture_only}
+            "cli_texture_only": texture_only,
+            "bundles_differing": [f"{threads} threads N={n}"
+                                  for threads, hashes in base["bundle_sha256"].items()
+                                  for n, sha in hashes.items()
+                                  if head["bundle_sha256"].get(threads, {}).get(n) != sha]}
 
 
 def _without_weights(figures: dict) -> dict:
     training = {name: {k: v for k, v in fit.items() if k not in ("weights", "intercepts")}
                 for name, fit in figures["training"].items()}
-    return {"reports": figures["reports"], "training": training, "cli": sorted(figures["cli"])}
+    return {"reports": figures["reports"], "training": training, "cli": sorted(figures["cli"]),
+            "bundle_sha256": figures["bundle_sha256"]}
+
+
+def _child(rev: str, mode: str, tree: Path, threads: int) -> dict:
+    """The JSON that this script prints in mode for tree, run in a fresh process under threads
+    BLAS threads."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env |= {v: str(threads) for v in BLAS_VARIABLES}
+    proc = subprocess.run([sys.executable, __file__, mode, str(tree)], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{mode} {rev} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", default="HEAD~1")
     p.add_argument("--head", default="HEAD")
-    p.add_argument("--measure", metavar="TREE", help=argparse.SUPPRESS)  # the per-revision child
+    # the per-revision children
+    p.add_argument("--measure", metavar="TREE", help=argparse.SUPPRESS)
+    p.add_argument("--hash-bundles", metavar="TREE", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure(Path(args.measure))))
         return 0
+    if args.hash_bundles:
+        print(json.dumps(bundle_hashes(Path(args.hash_bundles))))
+        return 0
 
     from bench_pairs import export  # this script's directory is on sys.path
 
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | BLAS_THREADS
     out, figures = {}, {}
     with tempfile.TemporaryDirectory(prefix="eval-parity-") as tmp:
         for side, rev in (("base", args.base), ("head", args.head)):
             tree = Path(tmp) / side
             tree.mkdir()
             out[side] = {"rev": rev, "sha": export(rev, tree)}
-            proc = subprocess.run([sys.executable, __file__, "--measure", str(tree)], env=env,
-                                  capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise RuntimeError(f"measuring {rev} failed:\n{proc.stderr}")
-            figures[side] = json.loads(proc.stdout)
+            figures[side] = _child(rev, "--measure", tree, 1)
+            figures[side]["bundle_sha256"] = {
+                str(threads): _child(rev, "--hash-bundles", tree, threads)
+                for threads in HASH_THREADS}
             out[side].update(_without_weights(figures[side]))
     out["comparison"] = compare(figures["base"], figures["head"])
     print(json.dumps(out, indent=1))
