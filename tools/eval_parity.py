@@ -39,8 +39,8 @@ outputs that differ byte for byte. A PGM whose attribute blocks are equal
 and whose texture block (the last, square one, which hashes the bytes of
 the latent) differs is listed apart, under `cli_texture_only`: its latent
 moved in its last bits at most. Every bundle hash that differs is listed
-under `bundles_differing`, as "<threads> threads N=<n>". Uses the standard library and numpy, and
-changes nothing under bench/.
+under `bundles_differing`, as "<threads> threads N=<n>". Uses the standard
+library and numpy, and changes nothing under bench/.
 
 A change that keeps the eval's random stream should read no report field
 differing. One that changes the stream can only be compared statistically:
@@ -75,14 +75,20 @@ def _number(x):
     return None if x is None or math.isnan(x) else float(x)
 
 
-def measure(tree: Path) -> dict:
-    """The reports and the N=10k training figures of the package in tree/src."""
+def _bench_training(tree: Path):
+    """The bench world and the training config, from the package and bench/ in tree."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    from latentsteer import TrainingConfig, build_world, run_training
+    from latentsteer import TrainingConfig, build_world
     from workloads import world_config
 
-    world = build_world(world_config())
-    cfg = TrainingConfig(epochs=1000, seed=3)
+    return build_world(world_config()), TrainingConfig(epochs=1000, seed=3)
+
+
+def measure(tree: Path) -> dict:
+    """The reports and the N=10k training figures of the package in tree/src."""
+    world, cfg = _bench_training(tree)
+    from latentsteer import run_training
+
     bundle = run_training(world, 2000, cfg)
     reports = eval_reports(world, bundle, 2000)
     big = run_training(world, 10_000, cfg)
@@ -102,16 +108,14 @@ def bundle_hashes(tree: Path) -> dict:
 
     The training is measure()'s, under the BLAS thread count of this process.
     """
-    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    from latentsteer import TrainingConfig, build_world, persist, run_training
-    from workloads import world_config
+    world, cfg = _bench_training(tree)
+    from latentsteer import persist, run_training
 
-    world = build_world(world_config())
     hashes = {}
     with tempfile.TemporaryDirectory(prefix="eval-parity-bundle-") as tmp:
         path = Path(tmp) / "bundle.json"
         for n in HASH_SAMPLES:
-            persist.save_bundle(run_training(world, n, TrainingConfig(epochs=1000, seed=3)), path)
+            persist.save_bundle(run_training(world, n, cfg), path)
             hashes[str(n)] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
 
