@@ -569,8 +569,8 @@ def _reference_newton(X, Y, l2, max_iter):
 
 
 def _row_major_softmax_terms(W, b, X, Y, l2):
-    """The softmax pass over (n, k) logits and probabilities, as the fits made it before
-    they ran class-major."""
+    """The softmax pass over (n, k) logits and probabilities: the reference that the
+    class-major pass must equal bit for bit."""
     logits = X @ W.T + b
     logits -= logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(logits).sum(axis=1))
@@ -584,7 +584,7 @@ def _row_major_softmax_terms(W, b, X, Y, l2):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 3000), st.integers(1, 80), st.integers(0, 2**32 - 1),
+@given(st.integers(2, 7), st.integers(1, 3000), st.integers(1, 80), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 1e-4, 1e-2]), st.floats(0.01, 30.0))
 def test_the_class_major_softmax_pass_keeps_the_row_major_bytes(k, n, d, seed, l2, scale):
     rng = np.random.default_rng(seed)
