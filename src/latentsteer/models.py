@@ -248,11 +248,11 @@ def _softmax_terms(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray,
                    l2: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """softmax_loss_and_grad's loss and gradient, and the (k, n) class probabilities.
 
-    Logits and probabilities are class-major. Their sums over fewer than 8 classes
-    add rows in order, as numpy sums an (n, k) row (pairwise from 8 on, so a fit of
-    8 or more classes moved in its last bits). The residual stays (n, k): the
-    gradient's BLAS call keeps its bytes at every dim only so. np.dot releases the
-    GIL; matmul keeps it for outputs of at most about 500 elements.
+    Logits and probabilities are class-major. Below 8 classes the results equal the
+    row-major (n, k) pass bit for bit: a sum over the classes adds the rows in order,
+    as numpy sums an (n, k) row (pairwise from 8 on), and the residual stays (n, k),
+    so the gradient makes the row-major pass's BLAS call at every dim. np.dot
+    releases the GIL; matmul keeps it for outputs of at most about 500 elements.
     """
     logits = W @ X.T + b[:, None]
     logits -= logits.max(axis=0)
