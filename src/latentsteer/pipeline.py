@@ -17,6 +17,7 @@ scores, or the world's noiseless reading of its block means.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -46,8 +47,8 @@ from .models import (
     fit_regressor,
     split_folds,
 )
-from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _label_latents, build_world,
-                    generate_image, oracle_label)
+from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _label_latents, _noise_draws,
+                    build_world, generate_image, oracle_label)
 
 __all__ = [
     "EvalConfig",
@@ -165,28 +166,26 @@ def run_training(world: SyntheticWorld, n_samples: int,
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    Z = sample_latents(n_samples, world.latent_dim, cfg.seed)
-    # read only when the world's labels are noisy
-    noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
-
-    labels = _label_latents(world, Z, noise_seeds)
-    folds = split_folds(Z, cfg)
-    del Z  # the folds hold every row the fits read
-
     attrs = world.config.attributes
-    jobs = [(attr, labels[attr.name], folds, cfg) for attr in attrs]
     # costliest first: a k-class fit makes k(k - 1)/2 Hessian passes per Newton step, the
     # regressor (k = 0) none
     first, *rest = sorted(range(len(attrs)), key=lambda i: -len(attrs[i].classes))
     # a pool only where every fit's BLAS threads keep cores of their own; serial if unknown
     blas = _blas_threads()
     workers = min(_usable_cpus() // blas - 1, len(rest)) if blas else 0
-    if workers > 0:
-        with ThreadPoolExecutor(workers) as pool:  # leaving it waits for every fit
-            fits = {i: pool.submit(_fit_attribute, *jobs[i]) for i in rest}
-            fits[first] = _settled(_fit_attribute, *jobs[first])
-    else:
-        fits = {i: _settled(_fit_attribute, *job) for i, job in enumerate(jobs)}
+    # leaving the pool waits for everything submitted to it
+    with ThreadPoolExecutor(workers) if workers > 0 else contextlib.nullcontext() as pool:
+        submit = pool.submit if pool else _settled
+        # the label noise needs only its seeds, so it is drawn while the latents are
+        noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
+        draws = submit(_noise_draws, world, noise_seeds, world.config.label_noise)
+        Z = sample_latents(n_samples, world.latent_dim, cfg.seed)
+        folds = submit(split_folds, Z, cfg)
+        labels = _label_latents(world, Z, noise_seeds, draws=draws.result())
+        del Z  # the folds hold every row the fits read
+        jobs = [(attr, labels[attr.name], folds.result(), cfg) for attr in attrs]
+        fits = {i: submit(_fit_attribute, *jobs[i]) for i in rest}
+        fits[first] = _settled(_fit_attribute, *jobs[first])
 
     models: dict[str, LatentModel] = {}
     metrics: dict[str, float] = {}

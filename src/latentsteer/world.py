@@ -375,8 +375,11 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
 
 
 def _read_means(world: SyntheticWorld, means: np.ndarray, noise_seeds,
-                label_noise: float | None) -> dict[str, np.ndarray]:
-    """`read_batch` of images whose attribute blocks have the (n, attributes) means."""
+                label_noise: float | None, draws=None) -> dict[str, np.ndarray]:
+    """`read_batch` of images whose attribute blocks have the (n, attributes) means.
+
+    draws, if given, are `_noise_draws(world, noise_seeds, p)`, drawn ahead.
+    """
     attrs = world.config.attributes
     n = len(means)
     if len(noise_seeds) != n:
@@ -389,41 +392,51 @@ def _read_means(world: SyntheticWorld, means: np.ndarray, noise_seeds,
     p = world.config.label_noise if label_noise is None else float(label_noise)
     if p <= 0.0:
         return labels
-    # per discrete attribute: its label column and how many other classes a resample draws from
-    noisy = [(labels[a.name], len(a.classes) - 1 if a.kind == MULTICLASS else 0)
-             for a in attrs if a.is_discrete]
-    rows = range(n)
+    flips, others = _noise_draws(world, noise_seeds, p) if draws is None else draws
+    for j, attr in enumerate(a for a in attrs if a.is_discrete):
+        column, flip = labels[attr.name], flips[:, j]
+        other = others[flip, j]
+        column[flip] = other + (other >= column[flip])  # a binary label's other is 0: a flip
+    return labels
+
+
+def _noise_draws(world: SyntheticWorld, noise_seeds, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, discrete attributes): whether the noise changes each label of image i, drawn in
+    attribute order from default_rng(noise_seeds[i]) with probability p, and the resample
+    draw of each changed multiclass label (0 elsewhere). The draws need the seeds alone."""
+    classes = [len(a.classes) - 1 if a.kind == MULTICLASS else 0
+               for a in world.config.attributes if a.is_discrete]
     seeds = np.asarray(noise_seeds)
-    if seeds.dtype.kind in "iu" and (seeds >= 0).all():
+    flips = np.zeros((len(seeds), len(classes)), dtype=bool)
+    others = np.zeros(flips.shape, dtype=np.intp)
+    rows = range(len(seeds)) if p > 0.0 else ()
+    if p > 0.0 and seeds.dtype.kind in "iu" and (seeds >= 0).all():
         # default_rng(seed).random() is (next_uint64 >> 11) * 2**-53, below p exactly when
         # next_uint64 >> 11 < p * 2**53, so an image's draws are its raw PCG64 outputs, one per
         # discrete attribute, until a multiclass label resamples: integers() then draws buffered
         # 32-bit halves, so only the rows with a multiclass flip are replayed
-        flips = _pcg64_raw(seeds.astype(np.uint64), len(noisy)) >> 11 < p * 2.0**53
-        resampled = flips @ np.array([others > 0 for _, others in noisy], dtype=bool)
-        for (column, others), flip in zip(noisy, flips.T):
-            if not others:
-                column ^= flip & ~resampled  # a binary label is 0 or 1
-        rows = np.flatnonzero(resampled).tolist()
+        flips = _pcg64_raw(seeds.astype(np.uint64), len(classes)) >> 11 < p * 2.0**53
+        rows = np.flatnonzero(flips @ np.array(classes, dtype=bool)).tolist()
     for row in rows:
         rng = np.random.default_rng(noise_seeds[row])
-        for column, others in noisy:
-            if rng.random() < p:
-                other = int(rng.integers(others)) if others else 0
-                column[row] = other + (other >= column[row])
-    return labels
+        for j, k in enumerate(classes):
+            flips[row, j] = rng.random() < p
+            if flips[row, j] and k:
+                others[row, j] = rng.integers(k)
+    return flips, others
 
 
 def _label_latents(world: SyntheticWorld, Z: np.ndarray, noise_seeds,
-                   label_noise: float | None = None) -> dict[str, np.ndarray]:
+                   label_noise: float | None = None, draws=None) -> dict[str, np.ndarray]:
     """read_batch(world, render_batch(world, Z), noise_seeds, label_noise), building no strips.
 
     Each block's mean is taken over a broadcast view of 64 copies of its
     value, which rounds as read_batch's mean of the rendered block does.
+    draws are as `_read_means` takes them.
     """
     means = _block_means(world, _latent_rows(Z, world.latent_dim))
     reads = np.broadcast_to(means[..., None], (*means.shape, BLOCK_SIZE * BLOCK_SIZE)).mean(axis=2)
-    return _read_means(world, reads, noise_seeds, label_noise)
+    return _read_means(world, reads, noise_seeds, label_noise, draws)
 
 
 def generate_image(world: SyntheticWorld, z) -> SyntheticImage:

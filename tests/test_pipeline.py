@@ -41,6 +41,7 @@ from latentsteer.geometry import sample_latents
 from latentsteer.models import Folds, LatentModel, ModelBundle
 from latentsteer.persist import bundle_to_payload, json_bytes
 from latentsteer.pipeline import EvalReport
+from latentsteer.world import _label_latents
 
 
 def orthogonal_world(dim=32, seed=5, label_noise=0.0, profile="linear"):
@@ -97,7 +98,9 @@ def mixed_world(noise=0.1):
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_run_training_saves_the_bytes_of_serial_fits_over_arrays(monkeypatch, cpus):
     """The concurrent fits over one shared split give the bundle that the fits called one
-    after another on the latent array give, whatever the number of usable CPUs."""
+    after another on the latent array give, whatever the number of usable CPUs, and each fit
+    gets the labels that one serial labelling of the sample gives, noise included, although
+    the noise is drawn beside the latents."""
     world, cfg = mixed_world(), replace(FAST, seed=7)
     calls = []  # (fit, labels, keyword arguments) per fit run_training makes
 
@@ -128,6 +131,18 @@ def test_run_training_saves_the_bytes_of_serial_fits_over_arrays(monkeypatch, cp
               fit(Z, labels, cfg, **kwargs) for fit, _, labels, kwargs in calls}
     expected = ModelBundle(bundle.schema, serial, bundle.provenance)
     assert json_bytes(bundle_to_payload(bundle)) == json_bytes(bundle_to_payload(expected))
+
+    noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=600)
+    read = _label_latents(world, Z, noise_seeds)
+    clean = _label_latents(world, Z, noise_seeds, label_noise=0.0)
+    schema = {a.name: a for a in world.config.attributes}
+    for _, _, labels, kwargs in calls:
+        attr = schema[attribute[kwargs.get("positive_class", kwargs.get("class_names"))]]
+        column = read[attr.name]
+        want = np.take(attr.classes, column) if attr.is_discrete else column
+        assert labels.dtype == want.dtype and labels.tobytes() == want.tobytes()
+        if attr.is_discrete:  # the noise is in them
+            assert (column != clean[attr.name]).any()
 
 
 def test_run_training_raises_the_first_failure_in_schema_order_once_every_fit_ends(monkeypatch):

@@ -21,8 +21,8 @@ from latentsteer import (
     sample_latents,
 )
 from latentsteer.pipeline import ROW_BLOCK
-from latentsteer.world import (BLOCK_SIZE, _block_means, _label_latents, _pcg64_raw,
-                               direction_slots)
+from latentsteer.world import (BLOCK_SIZE, _block_means, _label_latents, _noise_draws,
+                               _pcg64_raw, _read_means, direction_slots)
 
 
 def simple_config(**overrides):
@@ -413,6 +413,46 @@ def test_noisy_read_matches_scalar_reference_on_every_row(positions, p):
     for i in positions:
         resampled = labels[f"m{i}"] != clean[f"m{i}"]
         assert resampled[:300].any() and resampled[300:].any()
+
+
+@st.composite
+def noisy_reads(draw):
+    """A labelling case, or a world whose multiclass attribute comes first, between, last or
+    twice; its latents and noise seeds, those of some images above 2**64."""
+    if draw(st.booleans()):
+        world, Z, seeds = draw(labelling_cases())
+    else:
+        world = _world_with_multiclass_at(draw(st.sampled_from([(0,), (2,), (3,), (0, 4)])),
+                                          draw(st.sampled_from([0.3, 0.49])))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        Z = rng.standard_normal((draw(st.integers(1, 300)), world.latent_dim))
+        seeds = rng.integers(2**62, size=len(Z))
+    if draw(st.booleans()):  # every other seed moved above 2**64, beyond any uint64 array
+        seeds = [int(s) + 2**64 * (i % 2) for i, s in enumerate(seeds)]
+    return world, Z, seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(noisy_reads())
+def test_noise_drawn_ahead_reads_as_noise_drawn_by_the_read(case):
+    world, Z, seeds = case
+    p = world.config.label_noise
+    flips, others = draws = _noise_draws(world, seeds, p)
+    discrete = [a for a in world.config.attributes if a.is_discrete]
+    assert flips.shape == others.shape == (len(Z), len(discrete))
+    for i, seed in enumerate(seeds):  # each image's draws from its own generator, in order
+        rng = np.random.default_rng(seed)
+        for j, attr in enumerate(discrete):
+            flip = p > 0.0 and rng.random() < p
+            assert flips[i, j] == flip
+            assert others[i, j] == (rng.integers(len(attr.classes) - 1)
+                                    if flip and attr.kind == "multiclass" else 0)
+    means = _block_means(world, Z)
+    ahead, drawn = _read_means(world, means, seeds, None, draws), _read_means(world, means, seeds,
+                                                                             None)
+    assert list(ahead) == list(drawn)
+    for name, column in ahead.items():
+        assert column.dtype == drawn[name].dtype and column.tobytes() == drawn[name].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
