@@ -281,14 +281,18 @@ def _split(n: int, cfg: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
 class Folds:
     """A latent sample's train/test split, drawn once and read by every fit over the sample.
 
-    train and test are the gathered rows latents[tr] and latents[te], read-only;
-    split_fraction and seed are those of the config the split was drawn with.
+    train and test are the gathered rows latents[tr] and latents[te]; gram is
+    the Gram matrix [train, 1]^T [train, 1] of the train fold with a column of
+    ones, which the regressor solves with and every classifier's first Newton
+    step reads. All are read-only. split_fraction and seed are those of the
+    config the split was drawn with.
     """
 
     train: np.ndarray  # (len(tr), dim)
     test: np.ndarray   # (len(te), dim)
     tr: np.ndarray
     te: np.ndarray
+    gram: np.ndarray   # (dim + 1, dim + 1)
     split_fraction: float
     seed: int
 
@@ -296,12 +300,23 @@ class Folds:
         return len(self.tr) + len(self.te)
 
 
+def _gram(X: np.ndarray) -> np.ndarray:
+    """[X, 1]^T [X, 1] from its blocks, without copying X into [X, 1]."""
+    n, d = X.shape
+    gram = np.empty((d + 1, d + 1))
+    gram[:d, :d] = X.T @ X
+    gram[:d, d] = gram[d, :d] = X.sum(axis=0)
+    gram[d, d] = n
+    return gram
+
+
 def split_folds(latents, cfg: TrainingConfig) -> Folds:
     """Split (n, dim) latents into the train and test folds that cfg draws."""
     X = _latent_rows(latents)
     tr, te = _split(X.shape[0], cfg)
-    folds = Folds(X[tr], X[te], tr, te, cfg.split_fraction, cfg.seed)
-    for a in (folds.train, folds.test, tr, te):
+    train = X[tr]
+    folds = Folds(train, X[te], tr, te, _gram(train), cfg.split_fraction, cfg.seed)
+    for a in (folds.train, folds.test, folds.gram, tr, te):
         a.flags.writeable = False
     return folds
 
@@ -339,13 +354,13 @@ def _min_norm_solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.linalg.solve(H, r) if definite else np.linalg.lstsq(H, r, rcond=None)[0]
 
 
-def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
+def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int, gram: np.ndarray):
     """Minimize softmax_loss_and_grad over (W, b) by damped Newton steps from zero.
 
     Each step is the minimum-norm solution of H step = -grad, halved until
-    the Armijo condition holds. Stops once max |grad| <= GRAD_TOL, after
-    max_iter steps, or when no halving lowers the loss. Returns W, b, loss,
-    max |grad| and steps.
+    the Armijo condition holds and the loss falls. Stops once max |grad| <=
+    GRAD_TOL, after max_iter steps, or when no halving lowers the loss. gram
+    is `_gram(X)`. Returns W, b, loss, max |grad| and steps.
 
     Shifting one coordinate of every class by the same amount leaves the
     probabilities unchanged, so each shared shift u_i = (1, ..., 1) e_i / sqrt(k)
@@ -357,8 +372,10 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
     latent column at l2 = 0) the step is lstsq's (see _min_norm_solve).
 
     With x~ = [x, 1], block (a, c) of the Hessian's data part is
-    sum_i s_ac(i) x~_i x~_i^T / n, where s_ac = P_a (delta_ac - P_c). The
-    probabilities sum to one, so every block row sums to zero: the last
+    sum_i s_ac(i) x~_i x~_i^T, where s_ac = P_a (delta_ac - P_c) / n. At the
+    first step W = 0, so every row has the same probabilities and each block
+    is s_ac(0) times the Gram matrix: it takes no pass over the data. Later,
+    the probabilities sum to one, so every block row sums to zero: the last
     class's blocks are minus the sums of the others, and only the blocks with
     a <= c < k - 1 take a pass over the data (1 for a binary fit). The
     penalty l2 I is added after the fill. A block's weight part is summed
@@ -373,19 +390,24 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
         g = np.hstack([gW, gb[:, None]]).ravel()  # per class: d weights, then the intercept
         if steps == max_iter or np.abs(g).max() <= GRAD_TOL:
             break
-        H = np.empty((k, d + 1, k, d + 1))
-        for a in range(k - 1):
-            for c in range(a, k - 1):
-                s = P[a] * (float(a == c) - P[c]) / n
-                H[a, :d, c, :d] = sum(
-                    X[i:i + HESSIAN_ROWS].T @ (X[i:i + HESSIAN_ROWS] * s[i:i + HESSIAN_ROWS, None])
-                    for i in range(0, n, HESSIAN_ROWS))
-                H[a, :d, c, d] = H[a, d, c, :d] = np.dot(s, X)
-                H[a, d, c, d] = s.sum()
-                H[c, :, a, :] = H[a, :, c, :].T
-            H[a, :, k - 1, :] = -H[a, :, :k - 1, :].sum(axis=1)
-            H[k - 1, :, a, :] = H[a, :, k - 1, :].T
-        H[k - 1, :, k - 1, :] = -H[k - 1, :, :k - 1, :].sum(axis=1)
+        if steps == 0:  # W = 0: block (a, c) is s_ac of any row times the Gram matrix
+            s = P[:, 0, None] * (np.eye(k) - P[:, 0]) / n
+            H = s[:, None, :, None] * gram[:, None, :]
+        else:
+            H = np.empty((k, d + 1, k, d + 1))
+            for a in range(k - 1):
+                for c in range(a, k - 1):
+                    s = P[a] * (float(a == c) - P[c]) / n
+                    H[a, :d, c, :d] = sum(
+                        X[i:i + HESSIAN_ROWS].T
+                        @ (X[i:i + HESSIAN_ROWS] * s[i:i + HESSIAN_ROWS, None])
+                        for i in range(0, n, HESSIAN_ROWS))
+                    H[a, :d, c, d] = H[a, d, c, :d] = np.dot(s, X)
+                    H[a, d, c, d] = s.sum()
+                    H[c, :, a, :] = H[a, :, c, :].T
+                H[a, :, k - 1, :] = -H[a, :, :k - 1, :].sum(axis=1)
+                H[k - 1, :, a, :] = H[a, :, k - 1, :].T
+            H[k - 1, :, k - 1, :] = -H[k - 1, :, :k - 1, :].sum(axis=1)
         np.einsum("aiai->ai", H)[:, :d] += l2  # a writable view of the diagonal
         np.einsum("aici->aci", H)[...] += 1.0 / k  # the shared shifts u_i u_i^T
         H = H.reshape(k * (d + 1), k * (d + 1))
@@ -395,7 +417,9 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int):
         t = 1.0
         while t > 1e-12:
             trial = _softmax_terms(W + t * step[:, :d], b + t * step[:, d], X, Y, l2)
-            if trial[0] <= loss + 1e-4 * t * float(g @ step.ravel()):
+            # a trial must lower the loss: near a flat minimum, the Armijo decrease can
+            # round away, and a trial of equal loss would pass the Armijo test alone
+            if trial[0] < loss and trial[0] <= loss + 1e-4 * t * float(g @ step.ravel()):
                 break
             t /= 2
         else:
@@ -433,7 +457,7 @@ def _fit_classes(latents, labels, names: tuple, cfg: TrainingConfig, l2: float):
         raise UnlearnableAttributeError(f"classes with fewer than 2 samples: {missing}")
     y = np.array([index[c] for c in present], dtype=np.intp)[inverse]
     W, b, loss, grad_norm, steps = _newton(folds.train, np.eye(len(names))[y[folds.tr]], l2,
-                                           cfg.epochs)
+                                           cfg.epochs, folds.gram)
     meta = TrainingMeta(epochs_run=steps, final_loss=loss, grad_norm=grad_norm)
     return W, b, folds.test, y[folds.te], meta
 
@@ -498,13 +522,7 @@ def fit_regressor(latents, targets, cfg: TrainingConfig = TrainingConfig()) -> L
         raise UnlearnableAttributeError("regression needs at least 2 samples")
 
     Xtr, tr, te = folds.train, folds.tr, folds.te
-    d = Xtr.shape[1]
-    # the Gram matrix of [X, 1] from its blocks, without copying X into [X, 1]
-    gram = np.empty((d + 1, d + 1))
-    gram[:d, :d] = Xtr.T @ Xtr
-    gram[:d, d] = gram[d, :d] = Xtr.sum(axis=0)
-    gram[d, d] = len(tr)
-    gram += 1e-6 * np.eye(d + 1)
+    gram = folds.gram + 1e-6 * np.eye(len(folds.gram))
     beta = np.linalg.solve(gram, np.append(np.dot(Xtr.T, y[tr]), y[tr].sum()))
     slope, intercept = beta[:-1], float(beta[-1])
 

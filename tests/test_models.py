@@ -24,7 +24,7 @@ from latentsteer import (
     split_folds,
 )
 from latentsteer import models
-from latentsteer.models import (GRAD_TOL, HESSIAN_ROWS, _newton, _split,
+from latentsteer.models import (GRAD_TOL, HESSIAN_ROWS, _gram, _newton, _split,
                                 logistic_loss_and_grad, softmax_loss_and_grad)
 
 
@@ -153,6 +153,51 @@ def test_a_fit_rejects_folds_drawn_with_another_split(fit, change):
     assert shared.training_meta == own.training_meta
     with pytest.raises(ValueError, match="folds drawn with split_fraction=0.8, seed=3"):
         fit(folds, targets, replace(cfg, **change))
+
+
+@pytest.mark.parametrize("n, dim, scale", [(5, 2, 1.0), (300, 7, 30.0), (2000, 64, 0.01)])
+def test_split_folds_holds_the_read_only_gram_of_its_train_fold(n, dim, scale):
+    Z = sample_latents(n, dim, seed=n) * scale
+    folds = split_folds(Z, TrainingConfig(seed=5))
+    train = Z[folds.tr]
+    expected = np.empty((dim + 1, dim + 1))  # [train, 1]^T [train, 1], block by block
+    expected[:dim, :dim] = train.T @ train
+    expected[:dim, dim] = expected[dim, :dim] = train.sum(axis=0)
+    expected[dim, dim] = len(train)
+    assert folds.gram.dtype == np.float64 and folds.gram.tobytes() == expected.tobytes()
+    assert not folds.gram.flags.writeable
+    ones = np.hstack([train, np.ones((len(train), 1))])
+    np.testing.assert_allclose(folds.gram, ones.T @ ones, rtol=1e-12, atol=1e-12 * n * scale**2)
+
+
+def _solved_regressor(folds, y):
+    """fit_regressor's line and held-out RMSE, with its Gram matrix built inline from the
+    train fold, as fit_regressor built it before the folds held one."""
+    Xtr, tr, te = folds.train, folds.tr, folds.te
+    d = Xtr.shape[1]
+    gram = np.empty((d + 1, d + 1))
+    gram[:d, :d] = Xtr.T @ Xtr
+    gram[:d, d] = gram[d, :d] = Xtr.sum(axis=0)
+    gram[d, d] = len(tr)
+    gram += 1e-6 * np.eye(d + 1)
+    beta = np.linalg.solve(gram, np.append(np.dot(Xtr.T, y[tr]), y[tr].sum()))
+    slope, intercept = beta[:-1], float(beta[-1])
+    resid = folds.test @ slope + intercept - y[te]
+    return slope, intercept, float(np.sqrt(np.mean(resid**2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3000), st.integers(2, 70), st.integers(0, 2**32 - 1),
+       st.floats(0.01, 30.0))
+def test_fit_regressor_solves_with_the_bytes_of_its_own_gram(n, dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, dim)) * scale
+    y = Z @ rng.standard_normal(dim) + rng.standard_normal(n)
+    cfg = TrainingConfig(seed=seed)
+    model = fit_regressor(Z, y, cfg)
+    slope, intercept, rmse = _solved_regressor(split_folds(Z, cfg), y)
+    assert model.weights[0].tobytes() == slope.tobytes()
+    assert model.intercepts[0] == intercept and model.training_meta.test_rmse == rmse
 
 
 def test_fit_regressor_exact_recovery():
@@ -476,7 +521,7 @@ def test_unpenalized_fit_with_a_degenerate_column_takes_the_minimum_norm_steps(c
     names = sorted(set(classes))
     for Y in (np.eye(2)[positive.astype(int)], np.eye(3)[[names.index(c) for c in classes]]):
         for max_iter in (1, 100):  # the first step alone, and the whole fit
-            W, b, _, _, steps = _newton(Z, Y, 0.0, max_iter)
+            W, b, _, _, steps = _newton(Z, Y, 0.0, max_iter, _gram(Z))
             W_ref, b_ref, _, _, steps_ref = _reference_newton(Z, Y, 0.0, max_iter)
             assert steps == steps_ref
             assert np.abs(W - W_ref).max() <= 1e-10 * np.abs(W_ref).max()
@@ -513,7 +558,7 @@ def test_newton_halves_a_step_that_raises_the_loss(monkeypatch):
         return out
 
     monkeypatch.setattr(models, "_softmax_terms", recorded)
-    _, _, loss, grad_norm, steps = _newton(X, np.eye(2)[y], 0.0, 50)
+    _, _, loss, grad_norm, steps = _newton(X, np.eye(2)[y], 0.0, 50, _gram(X))
     accepted, rejected = [losses[0]], []
     for trial in losses[1:]:
         (accepted if trial < accepted[-1] else rejected).append(trial)
@@ -528,7 +573,7 @@ def test_newton_stops_when_no_halving_lowers_the_loss():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((23, 3)) * 1e8
     y = (X[:, 0] + 1e8 * rng.standard_normal(23) > 0).astype(int)
-    _, _, loss, grad_norm, steps = _newton(X, np.eye(2)[y], 0.0, 100)
+    _, _, loss, grad_norm, steps = _newton(X, np.eye(2)[y], 0.0, 100, _gram(X))
     assert steps < 100 and grad_norm > GRAD_TOL and np.isfinite(loss)
 
 
@@ -598,18 +643,19 @@ def test_the_class_major_softmax_pass_keeps_the_row_major_bytes(k, n, d, seed, l
     assert np.array_equal(models._softmax_terms(W, b, X, Y, l2)[3].T, P)
 
 
+@pytest.mark.parametrize("max_iter", [1, 100])  # the Gram step alone, and the whole fit
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("l2", [0.0, 1e-4, 1e-2])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_newton_matches_full_block_reference(k, l2, seed):
+def test_newton_matches_full_block_reference(k, l2, seed, max_iter):
     rng = np.random.default_rng(seed)
     n = 2 * HESSIAN_ROWS + 77  # two full row slices and a partial one
     X = rng.standard_normal((n, 5)) * rng.uniform(0.5, 3.0, size=5)
     y = np.argmax(X @ rng.standard_normal((k, 5)).T + rng.gumbel(size=(n, k)), axis=1)
     Y = np.eye(k)[y]
-    W, b, loss, grad_norm, steps = _newton(X, Y, l2, 100)
-    W_ref, b_ref, _, _, steps_ref = _reference_newton(X, Y, l2, 100)
-    assert steps == steps_ref and grad_norm <= GRAD_TOL
+    W, b, loss, grad_norm, steps = _newton(X, Y, l2, max_iter, _gram(X))
+    W_ref, b_ref, _, _, steps_ref = _reference_newton(X, Y, l2, max_iter)
+    assert steps == steps_ref and (grad_norm <= GRAD_TOL or steps == max_iter == 1)
     assert np.abs(W - W_ref).max() <= 1e-10 * np.abs(W_ref).max()
     assert np.abs(b - b_ref).max() <= 1e-10 * np.abs(b_ref).max()
 
