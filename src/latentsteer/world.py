@@ -409,8 +409,8 @@ def _noise_draws(world: SyntheticWorld, noise_seeds, p: float) -> tuple[np.ndarr
     seeds = np.asarray(noise_seeds)
     flips = np.zeros((len(seeds), len(classes)), dtype=bool)
     others = np.zeros(flips.shape, dtype=np.intp)
-    rows = range(len(seeds)) if p > 0.0 else ()
-    if p > 0.0 and seeds.dtype.kind in "iu" and (seeds >= 0).all():
+    rows = range(len(seeds))
+    if seeds.dtype.kind in "iu" and (seeds >= 0).all():
         # default_rng(seed).random() is (next_uint64 >> 11) * 2**-53, below p exactly when
         # next_uint64 >> 11 < p * 2**53, so an image's draws are its raw PCG64 outputs, one per
         # discrete attribute, until a multiclass label resamples: integers() then draws buffered

@@ -13,12 +13,14 @@ _spec.loader.exec_module(eval_parity)
 
 
 def _figures(style_acc=0.9, joint=0.8, rmse=0.02, weights=(1.0, -2.0), intercept=0.5,
-             metric=0.963, iterations=7, bundle_sha256=None):
+             metric=0.963, iterations=7, bundle_sha256=None, setup_weights=(3.0, 4.0),
+             setup_intercept=-1.0):
     report = {"trials": 2000, "accuracy": {"style": style_acc}, "joint": joint,
               "rmse": {"smile": rmse}}
     return {"reports": {"latent seed=1": report, "end2end seed=1": dict(report, rmse={})},
             "training": {"style": {"metric": metric, "iterations": iterations,
                                    "weights": [list(weights)], "intercepts": [intercept]}},
+            "setup": {"style": {"weights": [list(setup_weights)], "intercepts": [setup_intercept]}},
             "cli": {"eval --mode latent": "exit 0\nevaluation: latent\n",
                     "eval --mode latent csv": "attribute,metric\n"},
             "bundle_sha256": bundle_sha256 or {"1": {"2000": "a1", "10000": "b1"},
@@ -33,6 +35,7 @@ def test_equal_figures_compare_equal():
     assert c["bundles_differing"] == []
     assert c["training"]["style"] == {"iterations": [7, 7], "metric_equal": True,
                                       "weights_rel_diff": 0.0, "intercepts_rel_diff": 0.0}
+    assert c["setup_fits"] == {"style": {"weights_rel_diff": 0.0, "intercepts_rel_diff": 0.0}}
 
 
 def test_an_rmse_in_its_last_digits_differs_by_repr_but_keeps_accuracies_equal():
@@ -75,6 +78,43 @@ def test_fit_differences_are_relative_to_the_base_and_iterations_are_paired():
     assert fit["iterations"] == [7, 8] and not fit["metric_equal"]
     assert fit["weights_rel_diff"] == pytest.approx(1e-12, rel=1e-3)
     assert fit["intercepts_rel_diff"] == pytest.approx(2e-13, rel=1e-3)
+
+
+def test_setup_fit_differences_are_relative_to_the_base_and_apart_from_the_n10k_fits():
+    c = eval_parity.compare(_figures(), _figures(setup_weights=(3.0, 4.0 - 8e-16),
+                                                 setup_intercept=-1.0 + 3e-15))
+    assert c["setup_fits"]["style"]["weights_rel_diff"] == pytest.approx(2e-16, rel=0.2)
+    assert c["setup_fits"]["style"]["intercepts_rel_diff"] == pytest.approx(3e-15, rel=0.1)
+    assert c["training"]["style"]["weights_rel_diff"] == 0.0
+    assert c["accuracies_equal"] and c["cli_differing"] == []
+
+
+def test_the_setup_fits_are_the_n2000_bundles(monkeypatch):
+    """measure records each model of the N=2,000 bundle that the reports and CLI outputs
+    evaluate, and leaves its weights out of the printed figures."""
+    import sys
+    from latentsteer import TrainingConfig, build_world, run_training
+
+    trained = []
+
+    def recorded(world, n, cfg):
+        trained.append(n)
+        return run_training(world, 300 if n == 2000 else 400, TrainingConfig(epochs=50, seed=3))
+
+    import latentsteer
+    monkeypatch.setattr(latentsteer, "run_training", recorded)
+    monkeypatch.setattr(eval_parity, "eval_reports", lambda world, bundle, trials: {})
+    monkeypatch.setattr(eval_parity, "cli_outputs", lambda world, bundle: {})
+    monkeypatch.setattr(sys, "path", list(sys.path))  # measure puts the tree's bench first
+    figures = eval_parity.measure(Path(__file__).resolve().parent.parent)
+    from workloads import world_config
+
+    bundle = run_training(build_world(world_config()), 300, TrainingConfig(epochs=50, seed=3))
+    assert trained == [2000, 10_000]
+    assert figures["setup"] == {name: {"weights": m.weights.tolist(),
+                                       "intercepts": m.intercepts.tolist()}
+                                for name, m in bundle.models.items()}
+    assert "setup" not in eval_parity._without_weights(dict(figures, bundle_sha256={}))
 
 
 def test_cli_outputs_that_differ_by_a_byte_or_are_missing_are_listed():

@@ -9,7 +9,9 @@ directory, as tools/bench_pairs.py does, and measured in a fresh process
 with one BLAS thread on the bench world (bench/workloads.py, seed 57) with
 training seed 3:
 
-- 22 eval reports of an N=2,000 bundle, 2,000 trials each: eval seeds
+- the weights and intercepts of an N=2,000 bundle (the set-up bundle of the
+  `steer` and `generate` workloads), and 22 eval reports of it, 2,000
+  trials each: eval seeds
   {1, 2, 99} x rounds {1, 3}, the three other sign_convention x
   continuous_calibration pairs at seed 1, and seeds 2**32 + 1 and 2**64 + 1
   at rounds 1, for both evals;
@@ -33,8 +35,10 @@ training seed 3:
 The output holds both revisions' figures (weights and CLI output left out)
 and their comparison: the report fields that differ by repr, the largest
 relative RMSE difference, the largest accuracy difference in standard errors
-(`accuracy_max_z`), per model whether the held-out metric is equal by repr
-and the largest relative weight and intercept differences, and the CLI
+(`accuracy_max_z`), per model of the N=10k fit whether the held-out metric is
+equal by repr and the largest relative weight and intercept differences, the
+same two differences per model of the N=2,000 bundle (`setup_fits`), so a
+change that moves its hashes shows how far, and the CLI
 outputs that differ byte for byte. A PGM whose attribute blocks are equal
 and whose texture block (the last, square one, which hashes the bytes of
 the latent) differs is listed apart, under `cli_texture_only`: its latent
@@ -90,6 +94,8 @@ def measure(tree: Path) -> dict:
     from latentsteer import run_training
 
     bundle = run_training(world, 2000, cfg)
+    setup = {name: {"weights": model.weights.tolist(), "intercepts": model.intercepts.tolist()}
+             for name, model in bundle.models.items()}
     reports = eval_reports(world, bundle, 2000)
     big = run_training(world, 10_000, cfg)
     training = {}
@@ -100,7 +106,8 @@ def measure(tree: Path) -> dict:
                           "grad_norm": _number(meta.grad_norm),
                           "weights": model.weights.tolist(),
                           "intercepts": model.intercepts.tolist()}
-    return {"reports": reports, "training": training, "cli": cli_outputs(world, bundle)}
+    return {"reports": reports, "training": training, "setup": setup,
+            "cli": cli_outputs(world, bundle)}
 
 
 def bundle_hashes(tree: Path) -> dict:
@@ -208,6 +215,12 @@ def _relative(base, head) -> float:
     return float(diff / scale) if scale > 0 else float(diff)
 
 
+def _fit_differences(base: dict, head: dict) -> dict:
+    """The largest relative weight and intercept differences of two fits of one model."""
+    return {"weights_rel_diff": _relative(base["weights"], head["weights"]),
+            "intercepts_rel_diff": _relative(base["intercepts"], head["intercepts"])}
+
+
 def _z(base: float, head: float, trials: int) -> float:
     """|head - base| in standard errors of the difference of two accuracies over `trials` each."""
     se = math.sqrt((base * (1 - base) + head * (1 - head)) / trials)
@@ -222,7 +235,7 @@ def _attribute_blocks(pgm: str) -> list[list[str]]:
 
 
 def compare(base: dict, head: dict) -> dict:
-    """Which report fields differ by repr, and how far the accuracies and the N=10k fits moved."""
+    """Which report fields differ by repr, and how far the accuracies and the fits moved."""
     differing, rmse_rel, z_max = {}, 0.0, 0.0
     for name, b in base["reports"].items():
         h = head["reports"].get(name)
@@ -245,8 +258,7 @@ def compare(base: dict, head: dict) -> dict:
         h = head["training"][name]
         training[name] = {"iterations": [b["iterations"], h["iterations"]],
                           "metric_equal": repr(b["metric"]) == repr(h["metric"]),
-                          "weights_rel_diff": _relative(b["weights"], h["weights"]),
-                          "intercepts_rel_diff": _relative(b["intercepts"], h["intercepts"])}
+                          **_fit_differences(b, h)}
     accuracies_equal = not any({"accuracy", "joint", "missing"} & set(f) for f in differing.values())
     cli_differing, texture_only = [], []
     for name, text in base["cli"].items():
@@ -259,6 +271,8 @@ def compare(base: dict, head: dict) -> dict:
     return {"reports": len(base["reports"]), "accuracies_equal": accuracies_equal,
             "reports_differing": differing, "rmse_max_rel_diff": rmse_rel,
             "accuracy_max_z": z_max, "training": training,
+            "setup_fits": {name: _fit_differences(b, head["setup"][name])
+                           for name, b in base["setup"].items()},
             "cli_outputs": len(base["cli"]), "cli_differing": cli_differing,
             "cli_texture_only": texture_only,
             "bundles_differing": [f"{threads} threads N={n}"
