@@ -158,9 +158,11 @@ def run_training(world: SyntheticWorld, n_samples: int,
     provenance. When the BLAS leaves cores free they run concurrently: the
     calling thread fits the costliest attribute and a pool of
     (usable CPUs // BLAS threads - 1) threads the others; when it does not,
-    or its thread count cannot be read, they run one after another. Each fit
-    makes the same numpy calls on the same arrays whatever the thread, so the
-    bundle does not depend on the number of workers. If fits fail, the first
+    or its thread count cannot be read, they run one after another. The pool
+    also draws the label noise while the calling thread draws the latents,
+    and splits them while it labels them. Each fit makes the same numpy calls
+    on the same arrays whatever the thread, so the bundle does not depend on
+    the number of workers. If fits fail, the first
     failing attribute in schema order raises once every fit has finished.
     Deterministic given the world, cfg.seed and the BLAS thread count.
     """

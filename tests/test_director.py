@@ -444,7 +444,12 @@ def _check_report(bundle, z, spec, report):
     for name, (w, b, w_size, b_size) in rows.items():
         norm = math.hypot(*w)  # exact where w * w underflows
         for x, got in ((z, report.distances_before[name]), (report.z_prime, report.distances_after[name])):
-            assert abs(got + (w @ x + b) / norm) <= 1e-12 * (w_size @ np.abs(x) + b_size) / norm
+            with np.errstate(over="ignore"):  # a distance beyond the float range rounds to +-inf
+                expected = -(w @ x + b) / norm
+            if np.isinf(expected):
+                assert got == expected
+            else:
+                assert abs(got - expected) <= 1e-12 * (w_size @ np.abs(x) + b_size) / norm
     assert list(report.deltas) == list(spec.continuous)
     for name, target in spec.continuous.items():
         w, b = bundle.models[name].weights[0], bundle.models[name].intercepts[0]
@@ -457,6 +462,9 @@ def _check_report(bundle, z, spec, report):
 # a tiny normal far from its boundary: the step is huge and must not overflow
 @example((binary_bundle(direction=(1e-157, 0.0), intercept=1.0), np.zeros((1, 2)),
           [ConditioningSpec({"flag": "neg"})], DirectorConfig()))
+# a subnormal normal: the distance 1/|w|, about 3.2e312, lies beyond the float range
+@example((binary_bundle(direction=(2.225e-313, 2.225e-313), intercept=1.0), np.zeros((1, 2)),
+          [ConditioningSpec()], DirectorConfig()))
 def test_condition_batch_rows_equal_single_condition(case):
     bundle, Z, specs, cfg = case
     try:
