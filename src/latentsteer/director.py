@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConditioningError, DegenerateModelError
-from .geometry import _latent_rows, _scaled_norm, as_latent
+from .geometry import _latent_rows, _unit_norm, as_latent
 from .models import BINARY, CONTINUOUS, MULTICLASS, AttributeSchema, ModelBundle, decide
 from .world import AttributeLabels
 
@@ -252,6 +252,12 @@ def _overflow(cfg: DirectorConfig) -> DegenerateModelError:
                                 f"finite (delta_margin={cfg.delta_margin})")
 
 
+def _pair_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row a * k + c of each, for k class rows: the (a, c) boundary's normal, unit normal and norm."""
+    pairs = (weights[:, None, :] - weights[None, :, :]).reshape(-1, weights.shape[1])
+    return (pairs, *_unit_norm(pairs))
+
+
 def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercepts: np.ndarray,
               classes: tuple[str, ...], cfg: DirectorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Multiclass move of each row toward its desired class index, and its redirect count.
@@ -265,10 +271,7 @@ def _redirect(Z: np.ndarray, desired: np.ndarray, weights: np.ndarray, intercept
     z_work = Z.copy()
     count = np.zeros(len(Z), dtype=np.intp)
     active = np.arange(len(Z))
-    # pairs[a * k + c] for k classes: the (a, c) boundary's normal, with its norm and unit normal
-    pairs = (weights[:, None, :] - weights[None, :, :]).reshape(-1, weights.shape[1])
-    scaled, n, norms = _scaled_norm(pairs, lambda v: np.sqrt(np.einsum("nd,nd->n", v, v)))
-    units = scaled / np.where(n > 0.0, n, 1.0)[:, None]
+    pairs, units, norms = _pair_table(weights)
     for _ in range(MULTICLASS_MAX_REDIRECTS):
         current = decide(MULTICLASS, np.einsum("nd,kd->nk", z_work[active], weights) + intercepts)
         keep = current != desired[active]
@@ -399,7 +402,7 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
     chosen = {name: bool(mask[0]) for name, mask in batch.mismatch.items()}
     dist_before: dict[str, float] = {}
     dist_after: dict[str, float] = {}
-    # a distance beyond the float range reads +-inf, silently, as _scaled_norm's norm does
+    # a distance beyond the float range reads +-inf, silently, as _unit_norm's norm does
     with np.errstate(over="ignore"):
         for (name, kind, rows, _), target, now in zip(bundle.blocks, batch.targets, readout):
             if kind == BINARY:
@@ -407,8 +410,7 @@ def condition(z, spec: ConditioningSpec, bundle: ModelBundle,
             elif kind == MULTICLASS and chosen[name]:
                 # the first redirect's boundary: the desired class against the class before
                 hi, lo = rows.start + target[0], rows.start + now[0]
-                m, e_norm = np.frexp(
-                    _scaled_norm(bundle.weights[hi] - bundle.weights[lo], np.linalg.norm)[2])
+                m, e_norm = np.frexp(_unit_norm(bundle.weights[hi] - bundle.weights[lo])[1])
                 # (S[hi] - S[lo]) / norm, bit for bit wherever it fits a float: the scores and
                 # the norm are first brought near 1 by powers of two, which is exact, so their
                 # difference cannot overflow; only the last scaling can, past the float range

@@ -96,7 +96,7 @@ class Hyperplane:
 
 def signed_distance(z: np.ndarray, h: Hyperplane) -> float:
     """Signed distance from z to h, negative on the positive-score side."""
-    norm = float(_scaled_norm(h.direction, np.linalg.norm)[2])
+    norm = float(_unit_norm(h.direction)[1])
     if norm == 0.0:
         raise DegenerateModelError("hyperplane direction has zero norm")
     return -h.score(z) / norm
@@ -104,10 +104,10 @@ def signed_distance(z: np.ndarray, h: Hyperplane) -> float:
 
 def unit_direction(h: Hyperplane) -> np.ndarray:
     """Normal of h normalized to unit length (read-only)."""
-    scaled, norm, _ = _scaled_norm(h.direction, np.linalg.norm)
+    unit, norm = _unit_norm(h.direction)
     if norm == 0.0:
         raise DegenerateModelError("hyperplane direction has zero norm")
-    return _frozen(scaled / norm)
+    return _frozen(unit)
 
 
 def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
@@ -116,32 +116,28 @@ def project_to_hyperplane(z: np.ndarray, h: Hyperplane) -> np.ndarray:
     return _frozen(z + signed_distance(z, h) * unit_direction(h))
 
 
-def _scaled_norm(v: np.ndarray, norm_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """v (each vector along its last axis) scaled, its norm, and v's norm: right at every scale.
+def _unit_norm(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector along v's last axis as a unit vector (a zero vector stays zero), and its norm.
 
-    v times the power of two that brings its largest |entry| into [0.5, 1) keeps the caller's
-    reduction norm_of from over- or underflowing, and np.ldexp scales the norm back. Both are exact,
-    so the results equal norm_of(v) and v / norm_of(v) bit for bit where those neither over- nor
-    underflow. A norm beyond the largest float is inf, silently: the scaled vector and its norm stay
-    finite, so the unit vector is still right.
+    The package's one norm. v is scaled by the power of two that brings its largest |entry| into
+    [0.5, 1), so its sum of squares cannot over- or underflow, and the norm is scaled back; both
+    scalings are exact. The scaled copy is C-ordered, so a row reduces alone as in any batch: a
+    vector's unit and norm read the same bits wherever they are taken. A norm past the float
+    range is inf, silently; the unit vector is still right.
     """
     e = np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1]
-    scaled = np.ldexp(v, -e)
-    n = norm_of(scaled)
+    scaled = np.ldexp(v, -e, order="C")
+    n = np.sqrt((scaled * scaled).sum(axis=-1))
     with np.errstate(over="ignore"):
-        return scaled, n, np.ldexp(n, e[..., 0])
+        return scaled / np.where(n > 0.0, n, 1.0)[..., None], np.ldexp(n, e[..., 0])
 
 
 def cosine_similarity(a, b) -> float:
-    """a . b / (|a| |b|), clipped into [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """a . b / (|a| |b|), clipped into [-1, 1]: the off-diagonal entry of their pairwise_cosines."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(a.size, b.size, what="direction vector")
-    (a, na, _), (b, nb, _) = _scaled_norm(a, np.linalg.norm), _scaled_norm(b, np.linalg.norm)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateModelError("cosine similarity of a zero vector is undefined")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+    return float(pairwise_cosines(np.stack([a, b]))[0, 1])
 
 
 def pairwise_cosines(vectors: np.ndarray) -> np.ndarray:
@@ -152,10 +148,9 @@ def pairwise_cosines(vectors: np.ndarray) -> np.ndarray:
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-D stack of vectors, got shape {v.shape}")
-    v, norms, _ = _scaled_norm(v, lambda u: np.linalg.norm(u, axis=1))
+    unit, norms = _unit_norm(v)
     if np.any(norms == 0.0):
-        raise DegenerateModelError("cosine matrix over a zero vector is undefined")
-    unit = v / norms[:, None]
+        raise DegenerateModelError("cosine of a zero vector is undefined")
     m = unit @ unit.T
     m = np.clip((m + m.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(m, 1.0)

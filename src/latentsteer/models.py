@@ -27,7 +27,7 @@ from .errors import (
     DivergenceError,
     UnlearnableAttributeError,
 )
-from .geometry import Hyperplane, _latent_rows, _scaled_norm, as_latent
+from .geometry import Hyperplane, _latent_rows, _unit_norm, as_latent
 
 __all__ = [
     "AttributeSchema",
@@ -131,8 +131,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+        if not 0.0 <= self.l2_penalty < np.inf:  # also false for NaN
+            raise ValueError(f"l2_penalty must be non-negative and finite, got {self.l2_penalty}")
         if not (0.0 < self.split_fraction < 1.0):
             raise ValueError("split_fraction must lie in (0, 1)")
 
@@ -344,7 +344,8 @@ def _min_norm_solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
     on H's diagonal in place and undone before the solve.
     """
     diagonal = np.diagonal(H).copy()
-    np.einsum("ii->i", H)[...] -= 2 * len(r) ** 2 * np.finfo(np.float64).eps * np.linalg.norm(H)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf: the lstsq branch
+        np.einsum("ii->i", H)[...] -= 2 * len(r) ** 2 * np.finfo(np.float64).eps * np.linalg.norm(H)
     try:
         np.linalg.cholesky(H)
         definite = True
@@ -482,8 +483,10 @@ def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingCon
             f"positive class {positive_class!r} absent from labels {present}")
     positive = present[1] if positive_class is None else positive_class
     negative = present[0] if present[1] == positive else present[1]
-    W, b, Xte, yte, meta = _fit_classes(latents, labels, (negative, positive), cfg,
-                                        2.0 * cfg.l2_penalty)
+    l2 = 2.0 * cfg.l2_penalty
+    if l2 == np.inf:
+        raise DivergenceError(0, f"twice the l2_penalty {cfg.l2_penalty} is past the float range")
+    W, b, Xte, yte, meta = _fit_classes(latents, labels, (negative, positive), cfg, l2)
     w, c = W[1] - W[0], float(b[1] - b[0])
     accuracy = float(np.mean(decide(BINARY, (Xte @ w + c)[:, None]) == yte))
     return LatentModel(BINARY, w[None, :], [c], (negative, positive),
@@ -603,8 +606,7 @@ class ModelBundle:
         if len(dims) > 1:
             raise BundleIncompleteError(f"models disagree on latent dim: {dims}")
         w = np.concatenate([self.models[name].weights for name in names] or [np.zeros((0, 0))])
-        scaled, n, norms = _scaled_norm(w, lambda v: np.sqrt((v * v).sum(axis=1)))
-        units = scaled / np.where(n > 0.0, n, 1.0)[:, None]
+        units, norms = _unit_norm(w)
         b = np.concatenate([self.models[name].intercepts for name in names] or [np.zeros(0)])
         for name, a in (("weights", w), ("intercepts", b), ("norms", norms), ("units", units)):
             a.flags.writeable = False

@@ -145,7 +145,7 @@ class SyntheticWorld:
 
 def _check_pixels(p: np.ndarray) -> None:
     """Raises LayoutError unless every pixel lies in [0, 1]: min and max propagate NaN, which fails."""
-    if not (p.min() >= 0.0 and p.max() <= 1.0):
+    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
         raise LayoutError("pixel values must lie in [0, 1]")
 
 
@@ -289,7 +289,7 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
     digests = b"".join([hashlib.shake_256(z).digest(BLOCK_SIZE * BLOCK_SIZE) for z in Z])
     np.divide(np.frombuffer(digests, np.uint8).reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE), 255.0,
               pixels[:, :, -1, :])
-    return pixels.reshape(len(Z), BLOCK_SIZE, -1)
+    return pixels.reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE * (means.shape[1] + 1))
 
 
 # numpy's SeedSequence hash constants and PCG64's 128-bit multiplier (high and low halves)
@@ -369,9 +369,9 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
         raise LayoutError(f"images of shape {pixels.shape[1:]} do not hold {len(attrs) + 1} blocks")
     _check_pixels(pixels)
     # each block's pixels copied together, so its mean rounds the same in any batch
-    blocks = pixels.reshape(n, BLOCK_SIZE, -1, BLOCK_SIZE)[:, :, :-1].transpose(0, 2, 1, 3)
-    return _read_means(world, blocks.reshape(n, len(attrs), -1).mean(axis=2), noise_seeds,
-                       label_noise)
+    blocks = pixels.reshape(n, BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE)[:, :, :-1]
+    means = blocks.transpose(0, 2, 1, 3).reshape(n, len(attrs), BLOCK_SIZE**2).mean(axis=2)
+    return _read_means(world, means, noise_seeds, label_noise)
 
 
 def _read_means(world: SyntheticWorld, means: np.ndarray, noise_seeds,

@@ -32,6 +32,7 @@ def test_equal_figures_compare_equal():
     assert c["reports"] == 2 and c["accuracies_equal"] and c["reports_differing"] == {}
     assert c["rmse_max_rel_diff"] == 0.0 and c["accuracy_max_z"] == 0.0
     assert c["cli_outputs"] == 2 and c["cli_differing"] == [] and c["cli_texture_only"] == []
+    assert c["cli_numbers_only"] == {}
     assert c["bundles_differing"] == []
     assert c["training"]["style"] == {"iterations": [7, 7], "metric_equal": True,
                                       "weights_rel_diff": 0.0, "intercepts_rel_diff": 0.0}
@@ -124,6 +125,44 @@ def test_cli_outputs_that_differ_by_a_byte_or_are_missing_are_listed():
     c = eval_parity.compare(_figures(), head)
     assert c["accuracies_equal"] and c["reports_differing"] == {}
     assert c["cli_differing"] == ["eval --mode latent", "eval --mode latent csv"]
+
+
+_CSV = "attribute,metric,value,trials\r\nstyle,accuracy,0.9125,2000\r\nsmile,rmse,{},2000\r\n"
+_NEXT = math.nextafter(0.01753, 1.0)  # the RMSE moved in its last bit
+
+
+@pytest.mark.parametrize("head, listed", [
+    (_CSV.format(repr(_NEXT)), {"eval --mode latent csv": (_NEXT - 0.01753) / 0.01753}),
+    (_CSV.format("-1e-3"), {"eval --mode latent csv": 1e-3 / 0.01753 + 1.0}),
+    (_CSV.format("0.01753").replace("2000\r\nsmile", "2001\r\nsmile"),
+     {"eval --mode latent csv": 1 / 2000}),
+    (_CSV.format("0.01753").replace("rmse", "mae"), None),
+    (_CSV.format("0.01753").replace("\r\n", "\n"), None),
+    (_CSV.format("0.01753,1"), None),
+    (_CSV.format("nan"), None),
+    (_CSV.format("0.01753") + "pose,accuracy,0.5,2000\r\n", None),
+])
+def test_a_csv_that_differs_only_in_numeric_cells_is_listed_apart_with_its_largest_difference(
+        head, listed):
+    base, other = _figures(), _figures()
+    base["cli"]["eval --mode latent csv"] = _CSV.format("0.01753")
+    other["cli"]["eval --mode latent csv"] = head
+    c = eval_parity.compare(base, other)
+    if listed is None:
+        assert c["cli_differing"] == ["eval --mode latent csv"] and c["cli_numbers_only"] == {}
+    else:
+        assert c["cli_differing"] == [] and c["cli_texture_only"] == []
+        assert c["cli_numbers_only"].keys() == listed.keys()
+        for name, largest in listed.items():
+            assert c["cli_numbers_only"][name] == pytest.approx(largest, rel=1e-9, abs=0.0)
+
+
+def test_a_text_output_that_differs_only_in_numbers_is_not_a_csv():
+    base, other = _figures(), _figures()
+    base["cli"]["eval --mode latent"] += "smile rmse 0.01753\n"
+    other["cli"]["eval --mode latent"] += "smile rmse 0.01754\n"
+    c = eval_parity.compare(base, other)
+    assert c["cli_differing"] == ["eval --mode latent"] and c["cli_numbers_only"] == {}
 
 
 def test_bundle_hashes_that_differ_or_are_missing_are_listed_by_thread_count_and_size():

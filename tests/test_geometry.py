@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import math
+
 from latentsteer import (
     DegenerateModelError,
     DimensionMismatchError,
@@ -18,6 +20,7 @@ from latentsteer import (
     signed_distance,
     unit_direction,
 )
+from latentsteer.geometry import _unit_norm
 
 
 def test_signed_distance_hand_values():
@@ -107,6 +110,44 @@ def test_distances_and_normals_of_a_hyperplane_scaled_by_a_power_of_two_are_unch
     assert signed_distance(z, scaled) == signed_distance(z, h)
     assert unit_direction(scaled).tobytes() == unit_direction(h).tobytes()
     assert project_to_hyperplane(z, scaled).tobytes() == project_to_hyperplane(z, h).tobytes()
+
+
+@st.composite
+def vector_stacks(draw):
+    """An (n, d) stack in C or Fortran order whose rows are plain, zero, scaled by 2**-1000 or
+    2**1000, wholly subnormal, or hold subnormal entries among normal ones."""
+    n, d = draw(st.integers(0, 6)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.standard_normal((n, d))
+    for row in V:
+        kind = draw(st.sampled_from(["plain", "zero", "tiny", "huge", "subnormal", "mixed"]))
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind in ("tiny", "huge"):
+            row *= 2.0 ** (-1000 if kind == "tiny" else 1000)
+        elif kind == "subnormal":
+            row *= 2.0**-1060
+        elif kind == "mixed":
+            row[rng.random(d) < 0.5] *= 2.0**-1060
+    return np.asfortranarray(V) if draw(st.booleans()) else V
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_stacks())
+def test_each_rows_unit_and_norm_read_as_that_row_alone(V):
+    # one reduction: a row's unit and norm have the same bits alone (a 1-D input) or in any batch
+    units, norms = _unit_norm(V)
+    assert units.shape == V.shape and norms.shape == V.shape[:1]
+    for i, row in enumerate(V):
+        unit, norm = _unit_norm(row)
+        assert unit.shape == row.shape and np.ndim(norm) == 0
+        assert unit.tobytes() == units[i].tobytes() and norm.tobytes() == norms[i].tobytes()
+        if not row.any():
+            assert norm == 0.0 and not unit.any()  # a zero vector stays zero
+            continue
+        reference = math.hypot(*row)
+        assert abs(norm - reference) <= 1e-14 * reference + 1e-323  # the last term: subnormals
+        assert abs(math.hypot(*unit) - 1.0) < 1e-14
 
 
 def test_projection_lands_on_hyperplane():

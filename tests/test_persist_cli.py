@@ -447,6 +447,30 @@ def test_cli_train_at_scale_prints_high_accuracy(tmp_path, capsys):
             assert float(line.split()[-1]) >= 0.99
 
 
+@pytest.mark.parametrize("penalty, expected", [("nan", 2), ("inf", 2), ("1e300", 0), ("1.7e308", 3)])
+def test_cli_train_l2_penalty_non_finite_exits_2_and_huge_fits_or_exits_3(tmp_path, capsys,
+                                                                           penalty, expected):
+    # a non-finite penalty is a usage error; a finite one fits every classifier kind without a
+    # numpy warning, or exits 3 where the binary fit's doubled penalty leaves the float range
+    cfg = tmp_path / "cfg.json"
+    write_world_config(cfg)
+    payload = json.loads(cfg.read_text(encoding="utf-8"))
+    payload["attributes"].append({"name": "hair", "kind": "multiclass", "classes": ["a", "b", "c"]})
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    world_path, out = tmp_path / "world.json", tmp_path / "b.json"
+    main(["world-init", "--config", str(cfg), "--out", str(world_path)])
+    capsys.readouterr()
+    code = main(["train", "--world", str(world_path), "--n", "400", "--l2-penalty", penalty,
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == expected
+    if code == 0:
+        assert err == "" and out.exists()
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "l2_penalty" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--learning-rate", "--momentum"])
 def test_cli_train_rejects_removed_descent_flags(tmp_path, capsys, flag):
     # the Newton fit takes no step size or momentum, and the flags are gone

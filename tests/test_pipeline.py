@@ -33,9 +33,11 @@ from latentsteer import (
     latent_labels,
     oracle_label,
     run_training,
+    signed_distance,
     sweep_entanglement,
+    unit_direction,
 )
-from latentsteer import models
+from latentsteer import director, models
 from latentsteer.errors import UnlearnableAttributeError, WorldConfigError
 from latentsteer.geometry import sample_latents
 from latentsteer.models import Folds, LatentModel, ModelBundle
@@ -364,6 +366,32 @@ def _bench_case():
     world = build_world(WorldConfig(dim=64, attributes=attrs, entanglement=ent, label_noise=0.02,
                                     continuous_profile="sigmoid", seed=57))
     return world, run_training(world, 2000, TrainingConfig(epochs=1000, seed=3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_bundles_norms_read_the_same_bits_at_every_site(seed):
+    # each one-row model's unit and norm read as the bundle's row; each multiclass pair's norm
+    # that condition reports its distance with is the one _redirect's pair table steps with
+    world, _ = _bench_case()
+    bundle = run_training(world, 2000, TrainingConfig(epochs=1000, seed=seed))
+    Z = np.random.default_rng(seed).standard_normal((40, world.latent_dim))
+    for name, kind, rows, classes in bundle.blocks:
+        if kind != "multiclass":
+            r, h = rows.start, bundle.models[name].hyperplane
+            assert unit_direction(h).tobytes() == bundle.units[r].tobytes()
+            for z in Z:
+                assert signed_distance(z, h) == -h.score(z) / bundle.norms[r]
+            continue
+        k, norms = len(classes), director._pair_table(bundle.weights[rows])[2]
+        pairs = set()
+        for z in Z:
+            S = director._scores(bundle, z[None])[0, rows]
+            now = int(np.argmax(S))
+            for want in set(range(k)) - {now}:
+                report = condition(z, ConditioningSpec({name: classes[want]}), bundle)
+                assert report.distances_before[name] == -(S[want] - S[now]) / norms[want * k + now]
+                pairs.add((want, now))
+        assert len(pairs) == k * (k - 1)
 
 
 def _scaled_bundle(bundle, k):

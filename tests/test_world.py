@@ -323,8 +323,8 @@ def labelling_cases(draw):
         dim=dim, attributes=tuple(attrs), seed=draw(st.integers(0, 1000)),
         label_noise=draw(st.sampled_from([0.0, 0.3])),
         continuous_profile=draw(st.sampled_from(["linear", "sigmoid"]))))
-    # sizes below, at and across the labelling block
-    n = draw(st.sampled_from([1, 2, 5, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]))
+    # sizes from empty to below, at and across the labelling block
+    n = draw(st.sampled_from([0, 1, 2, 5, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     Z = rng.standard_normal((n, dim)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
     Z[rng.random(n) < 0.1] = 0.0  # every binary score and multiclass block ties at 0
@@ -337,6 +337,8 @@ def test_batched_render_and_read_equal_single_image_path(case):
     world, Z, seeds = case
     pixels = render_batch(world, Z)
     labels = read_batch(world, pixels, seeds)
+    assert pixels.shape == (len(Z), BLOCK_SIZE, BLOCK_SIZE * (len(world.config.attributes) + 1))
+    assert all(column.shape == (len(Z),) for column in labels.values())
     for i, z in enumerate(Z):
         img = generate_image(world, z)
         assert pixels[i].tobytes() == img.pixels.tobytes()
@@ -482,6 +484,20 @@ def test_read_rejects_a_noise_seed_count_unlike_the_image_count():
         with pytest.raises(ValueError, match="noise seeds"):
             read_batch(world, pixels, seeds)
     assert read_batch(world, pixels, [1, 2, 3, 4])["style"].shape == (4,)
+
+
+@pytest.mark.parametrize("p", [None, 0.0])
+def test_empty_batches_render_and_read_as_empty_labelling(p):
+    world = _world_with_multiclass_at((2,), 0.3)
+    Z = np.zeros((0, world.latent_dim))
+    pixels = render_batch(world, Z)
+    assert pixels.shape == (0, BLOCK_SIZE, BLOCK_SIZE * (len(world.config.attributes) + 1))
+    for seeds in ([], np.zeros(0, dtype=np.int64)):
+        labels = read_batch(world, pixels, seeds, label_noise=p)
+        expected = _label_latents(world, Z, seeds, label_noise=p)
+        assert list(labels) == list(expected)
+        for name, column in labels.items():
+            assert column.shape == (0,) and column.dtype == expected[name].dtype
 
 
 def test_labelling_render_leaves_only_the_texture_out():

@@ -42,8 +42,11 @@ change that moves its hashes shows how far, and the CLI
 outputs that differ byte for byte. A PGM whose attribute blocks are equal
 and whose texture block (the last, square one, which hashes the bytes of
 the latent) differs is listed apart, under `cli_texture_only`: its latent
-moved in its last bits at most. Every bundle hash that differs is listed
-under `bundles_differing`, as "<threads> threads N=<n>". Uses the standard
+moved in its last bits at most. A CSV with the same rows and fields that
+differs only in numeric cells is listed apart as well, under
+`cli_numbers_only`, with the largest relative difference of its cells. Every
+bundle hash that differs is listed under `bundles_differing`, as
+"<threads> threads N=<n>". Uses the standard
 library and numpy, and changes nothing under bench/.
 
 A change that keeps the eval's random stream should read no report field
@@ -61,6 +64,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -72,6 +76,8 @@ import numpy as np
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HASH_THREADS = (1, 2)  # the BLAS thread counts the bundles are hashed under
 HASH_SAMPLES = (2000, 10_000)
+CSV_SEPARATOR = re.compile(r"(,|\r\n|\n)")  # split on, and kept, so a moved separator differs
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _number(x):
@@ -234,6 +240,21 @@ def _attribute_blocks(pgm: str) -> list[list[str]]:
     return [row.split()[:width - height] for row in rows]
 
 
+def _numbers_only(base: str, head: str) -> float | None:
+    """The largest relative difference of two CSV texts that differ only in numeric cells, or
+    None where they differ anywhere else."""
+    cells = [CSV_SEPARATOR.split(text) for text in (base, head)]
+    if len(cells[0]) != len(cells[1]):
+        return None
+    largest = 0.0
+    for b, h in zip(*cells):
+        if b != h:
+            if not (NUMBER.fullmatch(b) and NUMBER.fullmatch(h)):
+                return None
+            largest = max(largest, _relative(float(b), float(h)))
+    return largest
+
+
 def compare(base: dict, head: dict) -> dict:
     """Which report fields differ by repr, and how far the accuracies and the fits moved."""
     differing, rmse_rel, z_max = {}, 0.0, 0.0
@@ -260,21 +281,26 @@ def compare(base: dict, head: dict) -> dict:
                           "metric_equal": repr(b["metric"]) == repr(h["metric"]),
                           **_fit_differences(b, h)}
     accuracies_equal = not any({"accuracy", "joint", "missing"} & set(f) for f in differing.values())
-    cli_differing, texture_only = [], []
+    cli_differing, texture_only, numbers_only = [], [], {}
     for name, text in base["cli"].items():
         other = head["cli"].get(name)
         if other == text:
             continue
-        texture = (other is not None and name.endswith(".pgm")
-                   and _attribute_blocks(other) == _attribute_blocks(text))
-        (texture_only if texture else cli_differing).append(name)
+        if other is None:
+            cli_differing.append(name)
+        elif name.endswith(".pgm") and _attribute_blocks(other) == _attribute_blocks(text):
+            texture_only.append(name)
+        elif name.endswith(" csv") and (largest := _numbers_only(text, other)) is not None:
+            numbers_only[name] = largest
+        else:
+            cli_differing.append(name)
     return {"reports": len(base["reports"]), "accuracies_equal": accuracies_equal,
             "reports_differing": differing, "rmse_max_rel_diff": rmse_rel,
             "accuracy_max_z": z_max, "training": training,
             "setup_fits": {name: _fit_differences(b, head["setup"][name])
                            for name, b in base["setup"].items()},
             "cli_outputs": len(base["cli"]), "cli_differing": cli_differing,
-            "cli_texture_only": texture_only,
+            "cli_texture_only": texture_only, "cli_numbers_only": numbers_only,
             "bundles_differing": [f"{threads} threads N={n}"
                                   for threads, hashes in base["bundle_sha256"].items()
                                   for n, sha in hashes.items()
