@@ -486,29 +486,15 @@ def test_read_rejects_a_noise_seed_count_unlike_the_image_count():
     assert read_batch(world, pixels, [1, 2, 3, 4])["style"].shape == (4,)
 
 
-@pytest.mark.parametrize("p", [None, 0.0])
-def test_empty_batches_render_and_read_as_empty_labelling(p):
-    world = _world_with_multiclass_at((2,), 0.3)
-    Z = np.zeros((0, world.latent_dim))
-    pixels = render_batch(world, Z)
-    assert pixels.shape == (0, BLOCK_SIZE, BLOCK_SIZE * (len(world.config.attributes) + 1))
-    for seeds in ([], np.zeros(0, dtype=np.int64)):
-        labels = read_batch(world, pixels, seeds, label_noise=p)
-        expected = _label_latents(world, Z, seeds, label_noise=p)
-        assert list(labels) == list(expected)
-        for name, column in labels.items():
-            assert column.shape == (0,) and column.dtype == expected[name].dtype
-
-
 def test_labelling_render_leaves_only_the_texture_out():
     # labelling reads the block means and builds no strips; the mean of a block of 64 equal
     # pixels differs from their value in the last bits, and labelling keeps that rounding
     world = _world_with_multiclass_at((2,), 0.3)
-    for n in (1, 7, 256, 4000):
-        Z = sample_latents(n, world.latent_dim, n)
+    for n in (0, 1, 7, 256, 4000):
+        Z = sample_latents(max(n, 1), world.latent_dim, n)[:n]
         seeds = np.arange(n)
         full = render_batch(world, Z)
-        blocks = full.reshape(n, BLOCK_SIZE, -1, BLOCK_SIZE)[:, :, :-1]
+        blocks = full.reshape(n, BLOCK_SIZE, len(world.config.attributes) + 1, BLOCK_SIZE)[:, :, :-1]
         assert (blocks == _block_means(world, Z)[:, None, :, None]).all()
         for p in (None, 0.0):
             expected = read_batch(world, full, seeds, label_noise=p)
