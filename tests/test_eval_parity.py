@@ -141,7 +141,8 @@ _NEXT = math.nextafter(0.01753, 1.0)  # the RMSE moved in its last bit
     (_CSV.format("0.01753,1"), None),
     (_CSV.format("nan"), None),
     (_CSV.format("0.01753") + "pose,accuracy,0.5,2000\r\n", None),
-])
+], ids=["last-bit", "exponent", "integer", "text-cell", "line-ending", "extra-field", "nan",
+        "extra-row"])
 def test_a_csv_that_differs_only_in_numeric_cells_is_listed_apart_with_its_largest_difference(
         head, listed):
     base, other = _figures(), _figures()

@@ -46,8 +46,8 @@ moved in its last bits at most. A CSV with the same rows and fields that
 differs only in numeric cells is listed apart as well, under
 `cli_numbers_only`, with the largest relative difference of its cells. Every
 bundle hash that differs is listed under `bundles_differing`, as
-"<threads> threads N=<n>". Uses the standard
-library and numpy, and changes nothing under bench/.
+"<threads> threads N=<n>". Uses the standard library and numpy, and changes
+nothing under bench/.
 
 A change that keeps the eval's random stream should read no report field
 differing. One that changes the stream can only be compared statistically:
