@@ -25,7 +25,7 @@ class UnlearnableAttributeError(LatentSteerError):
 
 
 class DivergenceError(LatentSteerError):
-    """A Newton fit produced a non-finite gradient or Hessian."""
+    """A Newton fit produced a non-finite gradient, or its penalty is past the float range."""
 
     def __init__(self, iteration: int, detail: str = ""):
         self.iteration = int(iteration)

@@ -4,18 +4,21 @@ Every fitted model is one `LatentModel`: affine rows over latent space, one
 row for a binary or continuous attribute and one per class for a multiclass
 attribute. Binary attributes get a logistic classifier, multi-valued
 attributes a single softmax classifier, continuous attributes a ridge
-regression line. Both classifiers are fitted by one damped Newton (IRLS)
+regression line. Both classifiers are fitted by one damped Newton-CG
 routine over the softmax objective, a binary attribute being its two-class
-case; it starts from zero and stops once max |grad| <= GRAD_TOL. All
-training is full batch and bit-deterministic for a given config: the only
-randomness is the train/test split permutation, which `split_folds` draws;
-every fit takes either latents or the `Folds` it drew, so several fits over
-one sample can share one split. A `ModelBundle` also holds
-its models' rows stacked into one affine map, which steering reads.
+case: conjugate gradients on Hessian-vector products, preconditioned by
+Böhning's bound. It starts from zero and stops once max |grad| <= GRAD_TOL.
+All training is full batch and bit-deterministic for a given config,
+whatever the BLAS thread count: the only randomness is the train/test split
+permutation, which `split_folds` draws; every fit takes either latents or
+the `Folds` it drew, so several fits over one sample can share one split. A
+`ModelBundle` also holds its models' rows stacked into one affine map,
+which steering reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -51,7 +54,6 @@ MULTICLASS = "multiclass"
 CONTINUOUS = "continuous"
 
 GRAD_TOL = 1e-8  # a classifier fit stops once max |grad| falls to this
-HESSIAN_ROWS = 512  # rows per weighted product of a Hessian block: bounds the fit's temporary
 
 
 def decide(kind: str, scores: np.ndarray) -> np.ndarray:
@@ -283,8 +285,8 @@ class Folds:
 
     train and test are the gathered rows latents[tr] and latents[te]; gram is
     the Gram matrix [train, 1]^T [train, 1] of the train fold with a column of
-    ones, which the regressor solves with and every classifier's first Newton
-    step reads. All are read-only. split_fraction and seed are those of the
+    ones, which the regressor solves with and every classifier's Newton-CG
+    preconditioner is built from. All are read-only. split_fraction and seed are those of the
     config the split was drawn with.
     """
 
@@ -332,95 +334,103 @@ def _folds(latents, cfg: TrainingConfig) -> Folds:
     return latents
 
 
-def _min_norm_solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The minimum-norm x with H x = r for a symmetric positive semi-definite H.
+def _preconditioner(gram: np.ndarray, n: int, l2: float) -> np.ndarray:
+    """The pseudo-inverse of Böhning's bound gram / 2n + l2 (on the weights), (d + 1) x (d + 1).
 
-    lstsq drops the singular values below len(r) * eps times the largest,
-    which is at most |H| (Frobenius). Where H - tau I has a Cholesky factor,
-    every eigenvalue of H exceeds tau less the factor's rounding error (at
-    most about len(r)**2 * eps * |H|). So with tau = 2 len(r)**2 eps |H|,
-    lstsq drops none there and its solution is np.linalg.solve's; anywhere
-    else (a singular or nearly singular H) it is lstsq's. The shift is made
-    on H's diagonal in place and undone before the solve.
+    With m the train fold's mean, the bound is B^T diag(C, 1/2) B for B = [[I, 0], [m^T, 1]]
+    and C = (X^T X / n - m m^T) / 2 + l2 I. So only C is pseudo-inverted, scaled to a unit
+    diagonal before its eigenvalues are cut: no penalty cuts the intercept, and a column of
+    zero variance at l2 = 0 (a dead latent column) stays out of the range.
     """
-    diagonal = np.diagonal(H).copy()
-    with np.errstate(over="ignore"):  # a norm past the float range is inf: the lstsq branch
-        np.einsum("ii->i", H)[...] -= 2 * len(r) ** 2 * np.finfo(np.float64).eps * np.linalg.norm(H)
-    try:
-        np.linalg.cholesky(H)
-        definite = True
-    except np.linalg.LinAlgError:
-        definite = False
-    np.einsum("ii->i", H)[...] = diagonal
-    return np.linalg.solve(H, r) if definite else np.linalg.lstsq(H, r, rcond=None)[0]
+    d = len(gram) - 1
+    mean = gram[:d, d] / n
+    C = (gram[:d, :d] / n - np.outer(mean, mean)) / 2.0 + l2 * np.eye(d)
+    diagonal = np.diagonal(C)
+    scale = np.divide(1.0, np.sqrt(diagonal), out=np.zeros(d), where=diagonal > 0)
+    lam, E = np.linalg.eigh(scale[:, None] * C * scale)
+    keep = lam > d * np.finfo(np.float64).eps * lam[-1]
+    E = E[:, keep] * scale[:, None]
+    C_inv = np.dot(E / lam[keep], E.T)
+    shift = np.dot(C_inv, mean)
+    return np.block([[C_inv, -shift[:, None]], [-shift[None, :], 2.0 + np.dot(mean, shift)]])
+
+
+def _hessian_product(X: np.ndarray, P: np.ndarray, Q: np.ndarray, l2: float,
+                     S: np.ndarray) -> np.ndarray:
+    """H S at the class-major probabilities P (k, n), with S and H S in the basis Q: (k - 1, d + 1)."""
+    n, d = X.shape
+    D = Q @ (np.dot(S[:, :d], X.T) + S[:, d:])  # (k, n): each row's change of logits
+    PD = P * D
+    U = Q.T @ (PD - P * PD.sum(axis=0))
+    HS = np.empty_like(S)
+    HS[:, :d] = np.dot(U, X) / n + l2 * S[:, :d]
+    HS[:, d] = U.sum(axis=1) / n
+    return HS
 
 
 def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int, gram: np.ndarray):
-    """Minimize softmax_loss_and_grad over (W, b) by damped Newton steps from zero.
+    """Minimize softmax_loss_and_grad over (W, b) by damped Newton-CG steps from zero.
 
-    Each step is the minimum-norm solution of H step = -grad, halved until
-    the Armijo condition holds and the loss falls. Stops once max |grad| <=
-    GRAD_TOL, after max_iter steps, or when no halving lowers the loss. gram
-    is `_gram(X)`. Returns W, b, loss, max |grad| and steps.
+    Each step solves H step = -grad by preconditioned conjugate gradients (CG) on
+    products H S (_hessian_product), and is halved until the Armijo condition holds and
+    the loss falls. Stops once max |grad| <= GRAD_TOL, after max_iter steps, or when no
+    halving lowers the loss. gram is `_gram(X)`. Returns W, b, loss, max |grad| and steps.
 
-    Shifting one coordinate of every class by the same amount leaves the
-    probabilities unchanged, so each shared shift u_i = (1, ..., 1) e_i / sqrt(k)
-    is an eigenvector of H (eigenvalue 0 for the intercept, l2 for a weight)
-    that grad is orthogonal to. Adding u_i u_i^T, i.e. 1/k on every
-    (class a, class c, same coordinate) entry, makes H invertible without
-    changing the step, so np.linalg.solve returns the step lstsq would. Where
-    H is still singular or nearly so (a dead, collinear or nearly collinear
-    latent column at l2 = 0) the step is lstsq's (see _min_norm_solve).
+    A shift shared by every class leaves the probabilities unchanged, and the gradient
+    never moves along one. So the steps run in an orthonormal (Helmert) basis Q of the
+    class vectors that sum to zero, W = Q V and b = Q c: a binary fit has one row. CG
+    stops at the forcing term |r| <= min(0.5, sqrt|g|) |g| (Eisenstat and Walker, 1996),
+    or after as many products as there are unknowns. Its preconditioner M is Böhning's
+    bound on the Hessian, in the basis Q one (d + 1) x (d + 1) matrix for every row of V
+    (_preconditioner). CG's last residual r is preconditioned once more and added to the
+    step: as H <= M, this never raises r's M^+ norm, and it clears r along the weights
+    where the penalty dominates H, whose last gradient bits lower the loss by less than
+    its rounding, so no later step could be accepted for them.
 
-    With x~ = [x, 1], block (a, c) of the Hessian's data part is
-    sum_i s_ac(i) x~_i x~_i^T, where s_ac = P_a (delta_ac - P_c) / n. At the
-    first step W = 0, so every row has the same probabilities and each block
-    is s_ac(0) times the Gram matrix: it takes no pass over the data. Later,
-    the probabilities sum to one, so every block row sums to zero: the last
-    class's blocks are minus the sums of the others, and only the blocks with
-    a <= c < k - 1 take a pass over the data (1 for a binary fit). The
-    penalty l2 I is added after the fill. A block's weight part is summed
-    over HESSIAN_ROWS rows at a time, so the largest temporary is the
-    (HESSIAN_ROWS, d) slice of X s_ac, not an (n, d) array.
+    At l2 = 0 a dead latent column lies outside M's range, and a duplicated column's
+    difference direction falls under M's cut; H is singular along both, so CG from
+    zero stays in H's range: each step is the minimum-norm one, and a dead column's
+    weights stay zero. A nearly collinear column's near-null direction falls under the
+    cut too, and the steps leave it alone.
     """
     (n, d), k = X.shape, Y.shape[1]
+    j, classes = np.arange(1, k), np.arange(k)[:, None]
+    Q = ((classes < j) - j * (classes == j)) / np.sqrt(j * (j + 1.0))  # (k, k - 1)
+    M = _preconditioner(gram, n, l2)
     W, b = np.zeros((k, d)), np.zeros(k)
     loss, gW, gb, P = _softmax_terms(W, b, X, Y, l2)
     steps = 0
     while True:
-        g = np.hstack([gW, gb[:, None]]).ravel()  # per class: d weights, then the intercept
+        g = np.hstack([gW, gb[:, None]])  # per class: d weights, then the intercept
         if steps == max_iter or np.abs(g).max() <= GRAD_TOL:
             break
-        if steps == 0:  # W = 0: block (a, c) is s_ac of any row times the Gram matrix
-            s = P[:, 0, None] * (np.eye(k) - P[:, 0]) / n
-            H = s[:, None, :, None] * gram[:, None, :]
-        else:
-            H = np.empty((k, d + 1, k, d + 1))
-            for a in range(k - 1):
-                for c in range(a, k - 1):
-                    s = P[a] * (float(a == c) - P[c]) / n
-                    H[a, :d, c, :d] = sum(
-                        X[i:i + HESSIAN_ROWS].T
-                        @ (X[i:i + HESSIAN_ROWS] * s[i:i + HESSIAN_ROWS, None])
-                        for i in range(0, n, HESSIAN_ROWS))
-                    H[a, :d, c, d] = H[a, d, c, :d] = np.dot(s, X)
-                    H[a, d, c, d] = s.sum()
-                    H[c, :, a, :] = H[a, :, c, :].T
-                H[a, :, k - 1, :] = -H[a, :, :k - 1, :].sum(axis=1)
-                H[k - 1, :, a, :] = H[a, :, k - 1, :].T
-            H[k - 1, :, k - 1, :] = -H[k - 1, :, :k - 1, :].sum(axis=1)
-        np.einsum("aiai->ai", H)[:, :d] += l2  # a writable view of the diagonal
-        np.einsum("aici->aci", H)[...] += 1.0 / k  # the shared shifts u_i u_i^T
-        H = H.reshape(k * (d + 1), k * (d + 1))
-        if not (np.isfinite(H).all() and np.isfinite(g).all()):
-            raise DivergenceError(steps, "non-finite gradient or Hessian")
-        step = _min_norm_solve(H, -g).reshape(k, d + 1)
+        if not np.isfinite(g).all():
+            raise DivergenceError(steps, "non-finite gradient")
+        r = -(Q.T @ g)
+        g_norm = math.sqrt(float((r * r).sum()))
+        tol = min(0.5, math.sqrt(g_norm)) * g_norm
+        s, z = np.zeros_like(r), np.dot(r, M)
+        p, rz = z, float((r * z).sum())
+        for _ in range(r.size):
+            Hp = _hessian_product(X, P, Q, l2, p)
+            curvature = float((p * Hp).sum())
+            alpha = rz / curvature if curvature > 0.0 else 0.0
+            if not 0.0 < alpha < math.inf:  # no curvature left to use
+                break
+            s += alpha * p
+            r -= alpha * Hp
+            if math.sqrt(float((r * r).sum())) <= tol:
+                break
+            z = np.dot(r, M)
+            rz, rz_old = float((r * z).sum()), rz
+            p = z + (rz / rz_old) * p
+        step = Q @ (s + np.dot(r, M))
         t = 1.0
         while t > 1e-12:
             trial = _softmax_terms(W + t * step[:, :d], b + t * step[:, d], X, Y, l2)
             # a trial must lower the loss: near a flat minimum, the Armijo decrease can
             # round away, and a trial of equal loss would pass the Armijo test alone
-            if trial[0] < loss and trial[0] <= loss + 1e-4 * t * float(g @ step.ravel()):
+            if trial[0] < loss and trial[0] <= loss + 1e-4 * t * float((g * step).sum()):
                 break
             t /= 2
         else:

@@ -152,7 +152,7 @@ def run_training(world: SyntheticWorld, n_samples: int,
                  cfg: TrainingConfig = TrainingConfig()) -> ModelBundle:
     """Sample latents, label them through the image pathway, fit every attribute.
 
-    Classifiers take damped Newton steps (at most cfg.epochs), the regression
+    Classifiers take damped Newton-CG steps (at most cfg.epochs), the regression
     line is solved in closed form. The fits share one train/test split per
     cfg.split_fraction and record their held-out metrics in the bundle
     provenance. When the BLAS leaves cores free they run concurrently: the
@@ -164,13 +164,13 @@ def run_training(world: SyntheticWorld, n_samples: int,
     on the same arrays whatever the thread, so the bundle does not depend on
     the number of workers. If fits fail, the first
     failing attribute in schema order raises once every fit has finished.
-    Deterministic given the world, cfg.seed and the BLAS thread count.
+    Deterministic given the world and cfg.seed.
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     attrs = world.config.attributes
-    # costliest first: a k-class fit makes k(k - 1)/2 Hessian passes per Newton step, the
-    # regressor (k = 0) none
+    # costliest first: each Hessian-vector product of a k-class fit makes two (k - 1)-row
+    # products with the data, the regressor (k = 0) none
     first, *rest = sorted(range(len(attrs)), key=lambda i: -len(attrs[i].classes))
     # a pool only where every fit's BLAS threads keep cores of their own; serial if unknown
     blas = _blas_threads()

@@ -24,7 +24,7 @@ from latentsteer import (
     split_folds,
 )
 from latentsteer import models
-from latentsteer.models import (GRAD_TOL, HESSIAN_ROWS, _gram, _newton, _split,
+from latentsteer.models import (GRAD_TOL, _gram, _newton, _split,
                                 logistic_loss_and_grad, softmax_loss_and_grad)
 
 
@@ -520,12 +520,38 @@ def test_unpenalized_fit_with_a_degenerate_column_takes_the_minimum_norm_steps(c
             assert np.abs(W[:, 2] - W[:, 1]).max() < 1e-9 * np.abs(W).max()
     names = sorted(set(classes))
     for Y in (np.eye(2)[positive.astype(int)], np.eye(3)[[names.index(c) for c in classes]]):
-        for max_iter in (1, 100):  # the first step alone, and the whole fit
-            W, b, _, _, steps = _newton(Z, Y, 0.0, max_iter, _gram(Z))
-            W_ref, b_ref, _, _, steps_ref = _reference_newton(Z, Y, 0.0, max_iter)
-            assert steps == steps_ref
+        residual, forcing = _first_step_residual(Z, Y, 0.0)
+        assert residual <= forcing
+        if column != "near-duplicate":  # H is singular: the first step is the minimum-norm one
+            W, b, _, _, _ = _newton(Z, Y, 0.0, 1, _gram(Z))
+            W_ref, b_ref, _, _, _ = _reference_newton(Z, Y, 0.0, 1)
             assert np.abs(W - W_ref).max() <= 1e-10 * np.abs(W_ref).max()
             assert np.abs(b - b_ref).max() <= 1e-10 * np.abs(b_ref).max()
+        # the whole fit scores every row as the reference does; the weights along a nearly
+        # collinear column's near-null direction are pinned by no more than its 1e-9 noise
+        W, b, _, _, _ = _newton(Z, Y, 0.0, 100, _gram(Z))
+        W_ref, b_ref, _, _, _ = _reference_newton(Z, Y, 0.0, 100)
+        scores, scores_ref = Z @ W.T + b, Z @ W_ref.T + b_ref
+        assert np.abs(scores - scores_ref).max() <= 1e-6 * np.abs(scores_ref).max()
+
+
+@pytest.mark.parametrize("l2_penalty", [1e16, 1e150])
+def test_a_huge_penalty_fits_the_intercepts_to_the_class_priors(l2_penalty):
+    # the penalty pins the weights near zero, and the unpenalized intercepts then fit the train
+    # fold's class frequencies: centred log counts for the softmax, the log odds for the logistic
+    Z, classes, positive = noisy_linear_labels(n=400, dim=8)
+    cfg = TrainingConfig(l2_penalty=l2_penalty)
+    tr, _ = _split(len(Z), cfg)
+    multi = fit_multiclass(Z, classes, cfg)
+    log_counts = np.log([np.sum(np.asarray(classes)[tr] == c) for c in multi.classes])
+    binary = fit_binary(Z, ["pos" if p else "neg" for p in positive], cfg, positive_class="pos")
+    log_odds = np.log(positive[tr].sum() / (~positive[tr]).sum())
+    for model, intercepts in ((multi, log_counts - log_counts.mean()), (binary, [log_odds])):
+        meta = model.training_meta
+        assert meta.epochs_run >= 1 and meta.grad_norm <= GRAD_TOL
+        assert np.abs(model.intercepts - intercepts).max() <= 1e-9
+        # at the optimum l2 W is minus the data gradient, whose entries are at most max |z|
+        assert np.abs(model.weights).max() <= np.abs(Z).max() / l2_penalty
 
 
 def test_unpenalized_fit_on_separable_data_stays_finite():
@@ -568,17 +594,34 @@ def test_newton_halves_a_step_that_raises_the_loss(monkeypatch):
 
 
 def test_newton_stops_when_no_halving_lowers_the_loss():
-    # at latents of scale 1e8 the loss stops falling in its last bits while max |grad| is
-    # still far above GRAD_TOL: forty halvings lower nothing, and the fit stops early
+    # at latents of scale 1e10 the loss stops falling in its last bits while max |grad| is
+    # still far above GRAD_TOL: forty halvings lower nothing, and the fit stops early (at
+    # 1e8 the Newton-CG fit still converges, to a max |grad| of about 3e-9)
     rng = np.random.default_rng(7)
-    X = rng.standard_normal((23, 3)) * 1e8
-    y = (X[:, 0] + 1e8 * rng.standard_normal(23) > 0).astype(int)
+    X = rng.standard_normal((23, 3)) * 1e10
+    y = (X[:, 0] + 1e10 * rng.standard_normal(23) > 0).astype(int)
     _, _, loss, grad_norm, steps = _newton(X, np.eye(2)[y], 0.0, 100, _gram(X))
     assert steps < 100 and grad_norm > GRAD_TOL and np.isfinite(loss)
 
 
+def _reference_hessian(X, W, b, l2):
+    """The softmax loss's dense Hessian at (W, b), every block computed from the data."""
+    (n, d), k = X.shape, W.shape[0]
+    logits = X @ W.T + b
+    P = np.exp(logits - logits.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    H = np.empty((k, d + 1, k, d + 1))
+    for a in range(k):
+        for c in range(k):
+            s = P[:, a] * (float(a == c) - P[:, c]) / n
+            H[a, :d, c, :d] = X.T @ (X * s[:, None]) + (l2 * np.eye(d) if a == c else 0.0)
+            H[a, :d, c, d] = H[a, d, c, :d] = s @ X
+            H[a, d, c, d] = s.sum()
+    return H.reshape(k * (d + 1), k * (d + 1))
+
+
 def _reference_newton(X, Y, l2, max_iter):
-    """The damped Newton fit with every Hessian block computed from the data."""
+    """The damped Newton fit with exact minimum-norm steps on the dense Hessian."""
     (n, d), k = X.shape, Y.shape[1]
     W, b = np.zeros((k, d)), np.zeros(k)
     loss, gW, gb = softmax_loss_and_grad(W, b, X, Y, l2)
@@ -587,17 +630,7 @@ def _reference_newton(X, Y, l2, max_iter):
         g = np.hstack([gW, gb[:, None]]).ravel()
         if steps == max_iter or np.abs(g).max() <= GRAD_TOL:
             break
-        logits = X @ W.T + b
-        P = np.exp(logits - logits.max(axis=1, keepdims=True))
-        P /= P.sum(axis=1, keepdims=True)
-        H = np.empty((k, d + 1, k, d + 1))
-        for a in range(k):
-            for c in range(k):
-                s = P[:, a] * (float(a == c) - P[:, c]) / n
-                H[a, :d, c, :d] = X.T @ (X * s[:, None]) + (l2 * np.eye(d) if a == c else 0.0)
-                H[a, :d, c, d] = H[a, d, c, :d] = s @ X
-                H[a, d, c, d] = s.sum()
-        H = H.reshape(k * (d + 1), k * (d + 1))
+        H = _reference_hessian(X, W, b, l2)
         step = np.linalg.lstsq(H, -g, rcond=None)[0].reshape(k, d + 1)
         t = 1.0
         while t > 1e-12:
@@ -611,6 +644,19 @@ def _reference_newton(X, Y, l2, max_iter):
         loss, gW, gb = trial
         steps += 1
     return W, b, loss, float(np.abs(g).max()), steps
+
+
+def _first_step_residual(X, Y, l2):
+    """The first Newton-CG step's residual |H step + grad| against the dense Hessian at zero,
+    and the forcing term min(0.5, sqrt|grad|) |grad| that bounds it."""
+    (n, d), k = X.shape, Y.shape[1]
+    W, b, _, _, steps = _newton(X, Y, l2, 1, _gram(X))
+    assert steps == 1
+    _, gW, gb = softmax_loss_and_grad(np.zeros((k, d)), np.zeros(k), X, Y, l2)
+    g = np.hstack([gW, gb[:, None]]).ravel()
+    H = _reference_hessian(X, np.zeros((k, d)), np.zeros(k), l2)
+    g_norm = np.linalg.norm(g)
+    return np.linalg.norm(H @ np.hstack([W, b[:, None]]).ravel() + g), min(0.5, np.sqrt(g_norm)) * g_norm
 
 
 def _row_major_softmax_terms(W, b, X, Y, l2):
@@ -648,16 +694,22 @@ def test_the_class_major_softmax_pass_keeps_the_row_major_bytes(k, n, d, seed, l
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_newton_matches_full_block_reference(k, l2, seed):
     rng = np.random.default_rng(seed)
-    n = 2 * HESSIAN_ROWS + 77  # two full row slices and a partial one
-    X = rng.standard_normal((n, 5)) * rng.uniform(0.5, 3.0, size=5)
-    y = np.argmax(X @ rng.standard_normal((k, 5)).T + rng.gumbel(size=(n, k)), axis=1)
+    n, d = 1101, 5
+    X = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, size=d)
+    y = np.argmax(X @ rng.standard_normal((k, d)).T + rng.gumbel(size=(n, k)), axis=1)
     Y = np.eye(k)[y]
-    for max_iter in (1, 100):  # the first step alone, from the Gram matrix, and the whole fit
-        W, b, loss, grad_norm, steps = _newton(X, Y, l2, max_iter, _gram(X))
-        W_ref, b_ref, _, _, steps_ref = _reference_newton(X, Y, l2, max_iter)
-        assert steps == steps_ref and (grad_norm <= GRAD_TOL or steps == max_iter == 1)
-        assert np.abs(W - W_ref).max() <= 1e-10 * np.abs(W_ref).max()
-        assert np.abs(b - b_ref).max() <= 1e-10 * np.abs(b_ref).max()
+    residual, forcing = _first_step_residual(X, Y, l2)
+    assert residual <= forcing
+    W, b, _, grad_norm, _ = _newton(X, Y, l2, 100, _gram(X))
+    W_ref, b_ref, _, grad_ref, _ = _reference_newton(X, Y, l2, 100)
+    assert grad_norm <= GRAD_TOL and grad_ref <= GRAD_TOL
+    # each fit lies within |grad| / mu of the optimum, mu the least curvature over the class
+    # vectors that sum to zero (past the d + 1 zero eigenvalues of the shared shifts)
+    H = _reference_hessian(X, W_ref, b_ref, l2)
+    C = np.kron(np.eye(k) - 1.0 / k, np.eye(d + 1))
+    mu = np.linalg.eigvalsh(C @ H @ C)[d + 1]
+    gap = np.hstack([W - W_ref, (b - b_ref)[:, None]])
+    assert np.linalg.norm(gap) <= np.sqrt(k * (d + 1)) * (grad_norm + grad_ref) / mu
 
 
 def test_old_bundle_payload_with_descent_knobs_loads_and_resaves_without_them():

@@ -200,6 +200,38 @@ def test_the_blas_thread_count_is_read_from_the_library_numpy_loaded(threads):
     assert proc.stdout.strip() == str(threads)
 
 
+BENCH_BUNDLE = """
+import sys
+import numpy as np
+from latentsteer import AttributeSchema, TrainingConfig, WorldConfig, build_world, run_training
+from latentsteer.persist import save_bundle
+attrs = (AttributeSchema.binary("style", "tee", "dress"),
+         AttributeSchema.binary("pose", "back", "front"),
+         AttributeSchema.multiclass("hair", ("black", "brown", "blond")),
+         AttributeSchema.continuous("smile", 0.0, 1.0))
+ent = np.eye(6)
+ent[0, 1] = ent[1, 0] = 0.57
+world = build_world(WorldConfig(dim=64, attributes=attrs, entanglement=ent, label_noise=0.02,
+                                continuous_profile="sigmoid", seed=57))
+save_bundle(run_training(world, 2000, TrainingConfig(epochs=1000, seed=3)), sys.argv[1])
+"""
+
+
+def test_the_saved_bundle_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the benchmark's world and N=2,000 bundle (_bench_case), trained in a fresh process under
+    # one and two OpenBLAS threads: on two cores, one thread fits concurrently, two serially
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built against OpenBLAS")
+    saved = []
+    for threads in (1, 2):
+        path = tmp_path / f"bundle-{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, "-c", BENCH_BUNDLE, str(path)], env=env,
+                       capture_output=True, text=True, timeout=300, check=True)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+
+
 def test_ground_truth_bundle_reproduces_world_decisions():
     world = orthogonal_world(seed=6)
     bundle = ground_truth_bundle(world)
