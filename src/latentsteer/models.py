@@ -285,9 +285,9 @@ class Folds:
 
     train and test are the gathered rows latents[tr] and latents[te]; gram is
     the Gram matrix [train, 1]^T [train, 1] of the train fold with a column of
-    ones, which the regressor solves with and every classifier's Newton-CG
-    preconditioner is built from. All are read-only. split_fraction and seed are those of the
-    config the split was drawn with.
+    ones, which the regressor solves with and every classifier builds its
+    Newton-CG preconditioner from. All are read-only. split_fraction and seed
+    are those of the config the split was drawn with.
     """
 
     train: np.ndarray  # (len(tr), dim)
@@ -339,16 +339,19 @@ def _preconditioner(gram: np.ndarray, n: int, l2: float) -> np.ndarray:
 
     With m the train fold's mean, the bound is B^T diag(C, 1/2) B for B = [[I, 0], [m^T, 1]]
     and C = (X^T X / n - m m^T) / 2 + l2 I. So only C is pseudo-inverted, scaled to a unit
-    diagonal before its eigenvalues are cut: no penalty cuts the intercept, and a column of
-    zero variance at l2 = 0 (a dead latent column) stays out of the range.
+    diagonal before its eigenvalues are cut: no penalty cuts the intercept. At l2 = 0 a
+    column whose variance is within the centring's rounding of zero (a dead or constant
+    latent column) stays out of the range, so its weights stay zero.
     """
-    d = len(gram) - 1
+    d, eps = len(gram) - 1, np.finfo(np.float64).eps
     mean = gram[:d, d] / n
     C = (gram[:d, :d] / n - np.outer(mean, mean)) / 2.0 + l2 * np.eye(d)
     diagonal = np.diagonal(C)
-    scale = np.divide(1.0, np.sqrt(diagonal), out=np.zeros(d), where=diagonal > 0)
+    live = diagonal > d * eps * np.diagonal(gram)[:d] / n
+    scale = np.zeros(d)
+    scale[live] = 1.0 / np.sqrt(diagonal[live])
     lam, E = np.linalg.eigh(scale[:, None] * C * scale)
-    keep = lam > d * np.finfo(np.float64).eps * lam[-1]
+    keep = lam > d * eps * lam[-1]
     E = E[:, keep] * scale[:, None]
     C_inv = np.dot(E / lam[keep], E.T)
     shift = np.dot(C_inv, mean)
@@ -360,8 +363,9 @@ def _hessian_product(X: np.ndarray, P: np.ndarray, Q: np.ndarray, l2: float,
     """H S at the class-major probabilities P (k, n), with S and H S in the basis Q: (k - 1, d + 1)."""
     n, d = X.shape
     D = Q @ (np.dot(S[:, :d], X.T) + S[:, d:])  # (k, n): each row's change of logits
-    PD = P * D
-    U = Q.T @ (PD - P * PD.sum(axis=0))
+    D *= P
+    D -= P * D.sum(axis=0)
+    U = Q.T @ D
     HS = np.empty_like(S)
     HS[:, :d] = np.dot(U, X) / n + l2 * S[:, :d]
     HS[:, d] = U.sum(axis=1) / n
@@ -387,11 +391,11 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int, gram: np.nda
     where the penalty dominates H, whose last gradient bits lower the loss by less than
     its rounding, so no later step could be accepted for them.
 
-    At l2 = 0 a dead latent column lies outside M's range, and a duplicated column's
-    difference direction falls under M's cut; H is singular along both, so CG from
-    zero stays in H's range: each step is the minimum-norm one, and a dead column's
-    weights stay zero. A nearly collinear column's near-null direction falls under the
-    cut too, and the steps leave it alone.
+    At l2 = 0 a dead or constant latent column lies outside M's range, so its weights
+    stay zero, and a duplicated column's difference direction falls under M's cut, so
+    the copies share their weights evenly. For a dead or duplicated column M's range is
+    H's, and each step is the minimum-norm one. A nearly collinear column's near-null
+    direction falls under the cut too, and the steps leave it alone.
     """
     (n, d), k = X.shape, Y.shape[1]
     j, classes = np.arange(1, k), np.arange(k)[:, None]
@@ -409,8 +413,8 @@ def _newton(X: np.ndarray, Y: np.ndarray, l2: float, max_iter: int, gram: np.nda
         r = -(Q.T @ g)
         g_norm = math.sqrt(float((r * r).sum()))
         tol = min(0.5, math.sqrt(g_norm)) * g_norm
-        s, z = np.zeros_like(r), np.dot(r, M)
-        p, rz = z, float((r * z).sum())
+        s, p = np.zeros_like(r), np.dot(r, M)
+        rz = float((r * p).sum())
         for _ in range(r.size):
             Hp = _hessian_product(X, P, Q, l2, p)
             curvature = float((p * Hp).sum())

@@ -554,6 +554,25 @@ def test_a_huge_penalty_fits_the_intercepts_to_the_class_priors(l2_penalty):
         assert np.abs(model.weights).max() <= np.abs(Z).max() / l2_penalty
 
 
+@pytest.mark.parametrize("value", [0.3, 5.0])
+def test_an_unpenalized_fit_gives_a_constant_column_no_weight(value):
+    # a constant column repeats the intercept; its variance X^T X / n - mean^2 rounds to a few
+    # eps rather than to zero (to -2.5e-15 at 0.3), and the fit leaves it out
+    Z, classes, positive = noisy_linear_labels(n=1000, dim=6)
+    Z = Z.copy()
+    Z[:, 2] = value
+    cfg = TrainingConfig(l2_penalty=0.0)
+    for fit, labels in ((fit_binary, ["pos" if p else "neg" for p in positive]),
+                        (fit_multiclass, classes)):
+        model, without = fit(Z, labels, cfg), fit(np.delete(Z, 2, axis=1), labels, cfg)
+        assert model.training_meta.grad_norm <= GRAD_TOL
+        assert np.all(model.weights[:, 2] == 0.0)
+        W = np.delete(model.weights, 2, axis=1)
+        assert np.abs(W - without.weights).max() <= 1e-12 * np.abs(without.weights).max()
+        assert np.abs(model.intercepts - without.intercepts).max() <= 1e-12 * np.abs(
+            without.intercepts).max()
+
+
 def test_unpenalized_fit_on_separable_data_stays_finite():
     X, y, separable = two_clouds(seed=12)
     assert separable
