@@ -509,7 +509,7 @@ def fit_binary(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingCon
 
 def fit_multiclass(latents, labels: Sequence[str], cfg: TrainingConfig = TrainingConfig(),
                    class_names: Sequence[str] | None = None) -> LatentModel:
-    """Fit one softmax classifier over k classes by damped Newton steps.
+    """Fit one softmax classifier over k classes by damped Newton-CG steps.
 
     latents are (n, dim), or their Folds; labels a list or an array. class_names fixes
     the class order (default: sorted unique labels); every named class must appear at
