@@ -34,6 +34,7 @@ from .pipeline import (
     CosineReport,
     EvalConfig,
     SweepConfig,
+    _check_eval,
     cosine_report,
     eval_end_to_end,
     eval_latent_modification,
@@ -124,6 +125,7 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     bundle = load_bundle(args.bundle)
     world = load_world(args.world)
+    _check_eval(bundle, world, 1)  # one latent, steered and rendered in the world
     spec = parse_conditioning(args.cond, bundle.schema)
     z = sample_latents(1, bundle.latent_dim, args.seed)[0]
     report = condition(z, spec, bundle, _director_config(args))

@@ -47,7 +47,7 @@ from .models import (
     fit_regressor,
     split_folds,
 )
-from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _label_latents, _noise_draws,
+from .world import (AttributeLabels, SyntheticWorld, WorldConfig, _add_noise, _label_latents,
                     build_world, generate_image, oracle_label)
 
 __all__ = [
@@ -148,6 +148,11 @@ def _settled(fn, *args) -> Future:
     return done
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def run_training(world: SyntheticWorld, n_samples: int,
                  cfg: TrainingConfig = TrainingConfig()) -> ModelBundle:
     """Sample latents, label them through the image pathway, fit every attribute.
@@ -159,15 +164,16 @@ def run_training(world: SyntheticWorld, n_samples: int,
     calling thread fits the costliest attribute and a pool of
     (usable CPUs // BLAS threads - 1) threads the others; when it does not,
     or its thread count cannot be read, they run one after another. The pool
-    also draws the label noise while the calling thread draws the latents,
-    and splits them while it labels them. Each fit makes the same numpy calls
-    on the same arrays whatever the thread, so the bundle does not depend on
-    the number of workers. If fits fail, the first
+    splits the latents while the calling thread labels them. The labels'
+    noise comes as arrays from one default_rng((cfg.seed, 1)): each discrete
+    label's flip with the world's label_noise, in schema order, then per
+    multiclass attribute the resample draw of every sample. Each fit makes
+    the same numpy calls on the same arrays whatever the thread, so the
+    bundle does not depend on the number of workers. If fits fail, the first
     failing attribute in schema order raises once every fit has finished.
     Deterministic given the world and cfg.seed.
     """
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
+    _check_count("n_samples", n_samples, 100)
     attrs = world.config.attributes
     # costliest first: each Hessian-vector product of a k-class fit makes two (k - 1)-row
     # products with the data, the regressor (k = 0) none
@@ -178,13 +184,18 @@ def run_training(world: SyntheticWorld, n_samples: int,
     # leaving the pool waits for everything submitted to it
     with ThreadPoolExecutor(workers) if workers > 0 else contextlib.nullcontext() as pool:
         submit = pool.submit if pool else _settled
-        # the label noise needs only its seeds, so it is drawn while the latents are
-        noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=n_samples)
-        draws = submit(_noise_draws, world, noise_seeds, world.config.label_noise)
         Z = sample_latents(n_samples, world.latent_dim, cfg.seed)
         folds = submit(split_folds, Z, cfg)
-        labels = _label_latents(world, Z, noise_seeds, draws=draws.result())
+        labels = _label_latents(world, Z)
         del Z  # the folds hold every row the fits read
+        rng = np.random.default_rng((cfg.seed, 1))
+        discrete = [a for a in attrs if a.is_discrete]
+        flips = rng.random((n_samples, len(discrete))) < world.config.label_noise
+        others = np.zeros(flips.shape, dtype=np.intp)
+        for j, attr in enumerate(discrete):
+            if attr.kind == MULTICLASS:
+                others[:, j] = rng.integers(len(attr.classes) - 1, size=n_samples)
+        _add_noise(world, labels, flips, others)
         jobs = [(attr, labels[attr.name], folds.result(), cfg) for attr in attrs]
         fits = {i: submit(_fit_attribute, *jobs[i]) for i in rest}
         fits[first] = _settled(_fit_attribute, *jobs[first])
@@ -308,8 +319,8 @@ def _block_readout(bundle: ModelBundle, labels: AttributeLabels) -> dict:
 
 
 def _check_eval(bundle: ModelBundle, world: SyntheticWorld, trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    """Raises unless there is a trial to steer and the bundle steers the world's latents."""
+    _check_count("trials", trials, 1)
     if bundle.latent_dim != world.latent_dim:
         raise WorldConfigError(
             f"bundle latent dim {bundle.latent_dim} does not match world dim {world.latent_dim}"
@@ -393,7 +404,7 @@ def eval_end_to_end(bundle: ModelBundle, world: SyntheticWorld, trials: int,
                                        for c in attr.classes], dtype=np.intp)
 
     def judge(Z: np.ndarray, S: np.ndarray) -> dict[str, np.ndarray]:
-        labels = _label_latents(world, Z, np.zeros(len(Z), np.intp), label_noise=0.0)
+        labels = _label_latents(world, Z)
         return {name: to_block[name][labels[name]] if name in to_block else labels[name]
                 for name, _, _, _ in bundle.blocks}
 
@@ -494,10 +505,17 @@ def sweep_entanglement(cos_values: Sequence[float], trials: int, n_samples: int,
     """Joint conditioning accuracy of two binary attributes vs their direction cosine.
 
     Builds a fresh two-attribute world per cosine value, trains on it, and
-    measures latent-modification accuracy. Invalid cosine values are
-    collected as (value, message) errors instead of aborting the sweep.
+    measures latent-modification accuracy. Invalid cosine values and the
+    runs that raise are collected as (value, message) errors instead of
+    aborting the sweep; settings that would fail every run (too few samples
+    or trials, rounds or dim too small) raise before the first.
     """
     names = ("alpha", "beta")
+    _check_count("n_samples", n_samples, 100)
+    _check_count("trials", trials, 1)
+    base = WorldConfig(dim=cfg.dim, attributes=tuple(AttributeSchema.binary(name, "off", "on")
+                                                     for name in names), seed=cfg.seed)
+    eval_cfg = EvalConfig(seed=cfg.seed, director=cfg.director, rounds=cfg.rounds)
     rows: list[SweepRow] = []
     errors: list[tuple[float, str]] = []
     for i, c in enumerate(cos_values):
@@ -506,21 +524,11 @@ def sweep_entanglement(cos_values: Sequence[float], trials: int, n_samples: int,
             errors.append((c, f"cosine {c} outside the open interval (-1, 1)"))
             continue
         try:
-            world_cfg = WorldConfig(
-                dim=cfg.dim,
-                attributes=(
-                    AttributeSchema.binary(names[0], "off", "on"),
-                    AttributeSchema.binary(names[1], "off", "on"),
-                ),
-                entanglement=np.array([[1.0, c], [c, 1.0]]),
-                seed=cfg.seed + 7919 * i,
-            )
-            world = build_world(world_cfg)
+            world = build_world(replace(base, entanglement=np.array([[1.0, c], [c, 1.0]]),
+                                        seed=cfg.seed + 7919 * i))
             bundle = run_training(world, n_samples, replace(cfg.train, seed=cfg.train.seed + i))
-            report = eval_latent_modification(
-                bundle, world, trials,
-                EvalConfig(seed=cfg.seed + i, director=cfg.director, rounds=cfg.rounds),
-            )
+            report = eval_latent_modification(bundle, world, trials,
+                                              replace(eval_cfg, seed=cfg.seed + i))
             rows.append(SweepRow(c, report.accuracy, report.joint_discrete_accuracy))
         except (WorldConfigError, UnlearnableAttributeError, ValueError) as exc:
             errors.append((c, str(exc)))

@@ -17,6 +17,11 @@ sample in one call) and the end-to-end eval's judge (an eval block at a
 time) run the two steps on arrays of latents and build no pixel strips; the
 texture block, which hashes the latent's bytes and which the oracle never
 reads, is rendered only where an image is returned.
+
+The oracle draws image i's label noise from its own default_rng(noise_seeds[i]),
+so an image reads the same alone or in a batch. Training labels are read
+noiselessly and take their noise as arrays from one generator per fit
+(`pipeline.run_training`), through the same `_add_noise`.
 """
 
 from __future__ import annotations
@@ -292,75 +297,15 @@ def render_batch(world: SyntheticWorld, Z) -> np.ndarray:
     return pixels.reshape(len(Z), BLOCK_SIZE, BLOCK_SIZE * (means.shape[1] + 1))
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier (high and low halves)
-_SS_INIT_A, _SS_MULT_A, _SS_INIT_B, _SS_MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_M32 = 0xFFFFFFFF
-
-
-def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """(high, low) halves of (hi, lo) * multiplier + (inc_hi, inc_lo) modulo 2**128."""
-    a0, a1, b0, b1 = lo & _M32, lo >> 32, _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
-    cross = (a0 * b0 >> 32) + (a1 * b0 & _M32) + (a0 * b1 & _M32)
-    carry = a1 * b1 + (a1 * b0 >> 32) + (a0 * b1 >> 32) + (cross >> 32)  # high half of lo * b
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    return carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (new_lo < inc_lo), new_lo
-
-
-def _pcg64_raw(seeds: np.ndarray, m: int) -> np.ndarray:
-    """(n, m): np.random.PCG64(seed).random_raw(m) for each of n uint64 seeds, in array operations.
-
-    SeedSequence(seed) hashes the seed's two 32-bit words, zero-padded to its
-    pool of four; it mixes the pool and draws eight words from it. PCG64
-    seeds its 128-bit LCG from those. Each output is the high ^ low half of
-    the LCG's next state, rotated right by the state's top six bits. uint32
-    and uint64 arrays wrap as the C code does.
-    """
-    hash_const = _SS_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _SS_MULT_A & _M32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    zero = np.zeros(len(seeds), np.uint32)
-    pool = [hashmix(word) for word in ((seeds & _M32).astype(np.uint32),
-                                       (seeds >> 32).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * hashmix(pool[src])
-                pool[dst] = mixed ^ mixed >> 16
-    state, hash_const = [], _SS_INIT_B
-    for i in range(8):  # generate_state(4, np.uint64): little-endian pairs of 32-bit words
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _SS_MULT_B & _M32
-        value = value * hash_const
-        state.append((value ^ value >> 16).astype(np.uint64))
-    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    hi, lo = _lcg_step(np.zeros_like(inc_hi), np.zeros_like(inc_lo), inc_hi, inc_lo)
-    lo = lo + init_lo
-    hi, lo = _lcg_step(hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
-    raw = np.empty((len(seeds), m), np.uint64)
-    for j in range(m):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        raw[:, j] = x >> rot | x << ((64 - rot) & 63)
-    return raw
-
-
 def read_batch(world: SyntheticWorld, pixels, noise_seeds,
                label_noise: float | None = None) -> dict[str, np.ndarray]:
     """Per attribute, the class index or the value each of n pixel strips shows.
 
     With probability p each discrete label of image i, drawn in attribute
     order from default_rng(noise_seeds[i]), is flipped or resampled among the
-    other classes. label_noise overrides the world's p (0.0 reads noiselessly).
-    The texture block is never read.
+    other classes; a seed is anything default_rng takes. label_noise
+    overrides the world's p (0.0 reads noiselessly). The texture block is
+    never read.
     """
     attrs = world.config.attributes
     pixels = np.asarray(pixels, dtype=np.float64)
@@ -368,32 +313,31 @@ def read_batch(world: SyntheticWorld, pixels, noise_seeds,
     if pixels.shape[1:] != (BLOCK_SIZE, BLOCK_SIZE * (len(attrs) + 1)):
         raise LayoutError(f"images of shape {pixels.shape[1:]} do not hold {len(attrs) + 1} blocks")
     _check_pixels(pixels)
+    if len(noise_seeds) != n:
+        raise ValueError(f"{len(noise_seeds)} noise seeds for {n} images")
     # each block's pixels copied together, so its mean rounds the same in any batch
     blocks = pixels.reshape(n, BLOCK_SIZE, len(attrs) + 1, BLOCK_SIZE)[:, :, :-1]
     means = blocks.transpose(0, 2, 1, 3).reshape(n, len(attrs), BLOCK_SIZE**2).mean(axis=2)
-    return _read_means(world, means, noise_seeds, label_noise)
+    labels = _read_means(world, means)
+    p = world.config.label_noise if label_noise is None else float(label_noise)
+    return _add_noise(world, labels, *_noise_draws(world, noise_seeds, p)) if p > 0.0 else labels
 
 
-def _read_means(world: SyntheticWorld, means: np.ndarray, noise_seeds,
-                label_noise: float | None, draws=None) -> dict[str, np.ndarray]:
-    """`read_batch` of images whose attribute blocks have the (n, attributes) means.
-
-    draws, if given, are `_noise_draws(world, noise_seeds, p)`, drawn ahead.
-    """
+def _read_means(world: SyntheticWorld, means: np.ndarray) -> dict[str, np.ndarray]:
+    """Noiseless `read_batch` of images whose attribute blocks have the (n, attributes) means."""
     attrs = world.config.attributes
-    n = len(means)
-    if len(noise_seeds) != n:
-        raise ValueError(f"{len(noise_seeds)} noise seeds for {n} images")
     # every block is read both ways, and each attribute keeps the reading of its kind
     lo, hi, k = np.array([(a.lo, a.hi, len(a.classes) - 1) for a in attrs]).T
     index = np.clip(np.rint(means * k), 0, k).astype(np.intp)
     values = lo + means * (hi - lo)
-    labels = {a.name: index[:, i] if a.is_discrete else values[:, i] for i, a in enumerate(attrs)}
-    p = world.config.label_noise if label_noise is None else float(label_noise)
-    if p <= 0.0:
-        return labels
-    flips, others = _noise_draws(world, noise_seeds, p) if draws is None else draws
-    for j, attr in enumerate(a for a in attrs if a.is_discrete):
+    return {a.name: index[:, i] if a.is_discrete else values[:, i] for i, a in enumerate(attrs)}
+
+
+def _add_noise(world: SyntheticWorld, labels: dict[str, np.ndarray], flips: np.ndarray,
+               others: np.ndarray) -> dict[str, np.ndarray]:
+    """labels, changed in place where flips (n, discrete attributes) holds: a binary label is
+    flipped, a multiclass one becomes the others-th of its other classes."""
+    for j, attr in enumerate(a for a in world.config.attributes if a.is_discrete):
         column, flip = labels[attr.name], flips[:, j]
         other = others[flip, j]
         column[flip] = other + (other >= column[flip])  # a binary label's other is 0: a flip
@@ -403,22 +347,13 @@ def _read_means(world: SyntheticWorld, means: np.ndarray, noise_seeds,
 def _noise_draws(world: SyntheticWorld, noise_seeds, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(n, discrete attributes): whether the noise changes each label of image i, drawn in
     attribute order from default_rng(noise_seeds[i]) with probability p, and the resample
-    draw of each changed multiclass label (0 elsewhere). The draws need the seeds alone."""
+    draw of each changed multiclass label (0 elsewhere)."""
     classes = [len(a.classes) - 1 if a.kind == MULTICLASS else 0
                for a in world.config.attributes if a.is_discrete]
-    seeds = np.asarray(noise_seeds)
-    flips = np.zeros((len(seeds), len(classes)), dtype=bool)
+    flips = np.zeros((len(noise_seeds), len(classes)), dtype=bool)
     others = np.zeros(flips.shape, dtype=np.intp)
-    rows = range(len(seeds))
-    if seeds.dtype.kind in "iu" and (seeds >= 0).all():
-        # default_rng(seed).random() is (next_uint64 >> 11) * 2**-53, below p exactly when
-        # next_uint64 >> 11 < p * 2**53, so an image's draws are its raw PCG64 outputs, one per
-        # discrete attribute, until a multiclass label resamples: integers() then draws buffered
-        # 32-bit halves, so only the rows with a multiclass flip are replayed
-        flips = _pcg64_raw(seeds.astype(np.uint64), len(classes)) >> 11 < p * 2.0**53
-        rows = np.flatnonzero(flips @ np.array(classes, dtype=bool)).tolist()
-    for row in rows:
-        rng = np.random.default_rng(noise_seeds[row])
+    for row, seed in enumerate(noise_seeds):
+        rng = np.random.default_rng(seed)
         for j, k in enumerate(classes):
             flips[row, j] = rng.random() < p
             if flips[row, j] and k:
@@ -426,17 +361,15 @@ def _noise_draws(world: SyntheticWorld, noise_seeds, p: float) -> tuple[np.ndarr
     return flips, others
 
 
-def _label_latents(world: SyntheticWorld, Z: np.ndarray, noise_seeds,
-                   label_noise: float | None = None, draws=None) -> dict[str, np.ndarray]:
-    """read_batch(world, render_batch(world, Z), noise_seeds, label_noise), building no strips.
+def _label_latents(world: SyntheticWorld, Z: np.ndarray) -> dict[str, np.ndarray]:
+    """read_batch(world, render_batch(world, Z), seeds, label_noise=0.0), building no strips.
 
     Each block's mean is taken over a broadcast view of 64 copies of its
     value, which rounds as read_batch's mean of the rendered block does.
-    draws are as `_read_means` takes them.
     """
     means = _block_means(world, _latent_rows(Z, world.latent_dim))
-    reads = np.broadcast_to(means[..., None], (*means.shape, BLOCK_SIZE * BLOCK_SIZE)).mean(axis=2)
-    return _read_means(world, reads, noise_seeds, label_noise, draws)
+    return _read_means(world, np.broadcast_to(means[..., None],
+                                              (*means.shape, BLOCK_SIZE * BLOCK_SIZE)).mean(axis=2))
 
 
 def generate_image(world: SyntheticWorld, z) -> SyntheticImage:
@@ -444,7 +377,7 @@ def generate_image(world: SyntheticWorld, z) -> SyntheticImage:
     return SyntheticImage(render_batch(world, as_latent(z, world.latent_dim)[None])[0])
 
 
-def oracle_label(world: SyntheticWorld, image: SyntheticImage, noise_seed: int,
+def oracle_label(world: SyntheticWorld, image: SyntheticImage, noise_seed,
                  label_noise: float | None = None) -> AttributeLabels:
     """Read one image: `read_batch` on a batch of one."""
     labels = read_batch(world, image.pixels[None], [noise_seed], label_noise)

@@ -369,6 +369,29 @@ def test_cli_generate_noop_and_pgm_dump(tmp_path, capsys):
     assert "legal classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_cli_generate_with_a_world_of_another_latent_dim_exits_2(tmp_path, capsys, dump):
+    from latentsteer import ground_truth_bundle, load_world, save_bundle
+    paths = {}
+    for dim in (12, 14):
+        cfg = tmp_path / f"cfg{dim}.json"
+        write_world_config(cfg, dim=dim)
+        paths[dim] = tmp_path / f"world{dim}.json"
+        main(["world-init", "--config", str(cfg), "--out", str(paths[dim])])
+    bundle_path = tmp_path / "gt.json"
+    save_bundle(ground_truth_bundle(load_world(paths[12])), bundle_path)
+    capsys.readouterr()
+    img_dir = tmp_path / "imgs"
+    code = main(["generate", "--bundle", str(bundle_path), "--world", str(paths[14]),
+                 "--cond", "style=dress", "--seed", "3",
+                 *(["--dump-image", str(img_dir)] if dump else [])])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bundle latent dim 12 does not match world dim 14\n"
+    assert not img_dir.exists()
+
+
 def test_cli_generate_deterministic_pgms(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_world_config(cfg)
@@ -519,6 +542,23 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     out.unlink()
     assert main(["sweep", "--cos", "a,b", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: --cos must be a comma-separated list of reals")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "50", "n_samples must be at least 100, got 50"),
+    ("--trials", "0", "trials must be at least 1, got 0"),
+    ("--rounds", "0", "rounds must be at least 1"),
+    ("--dim", "1", "dim must be at least 2, got 1"),
+])
+def test_cli_sweep_exits_2_on_settings_that_fail_every_cosine(tmp_path, capsys, flag, value,
+                                                               message):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--cos", "0.0,0.5", "--trials", "20", "--n", "400", "--dim", "8",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -102,7 +102,7 @@ def test_run_training_saves_the_bytes_of_serial_fits_over_arrays(monkeypatch, cp
     """The concurrent fits over one shared split give the bundle that the fits called one
     after another on the latent array give, whatever the number of usable CPUs, and each fit
     gets the labels that one serial labelling of the sample gives, noise included, although
-    the noise is drawn beside the latents."""
+    the noise is drawn as arrays from one generator."""
     world, cfg = mixed_world(), replace(FAST, seed=7)
     calls = []  # (fit, labels, keyword arguments) per fit run_training makes
 
@@ -134,9 +134,17 @@ def test_run_training_saves_the_bytes_of_serial_fits_over_arrays(monkeypatch, cp
     expected = ModelBundle(bundle.schema, serial, bundle.provenance)
     assert json_bytes(bundle_to_payload(bundle)) == json_bytes(bundle_to_payload(expected))
 
-    noise_seeds = np.random.default_rng((cfg.seed, 1)).integers(2**62, size=600)
-    read = _label_latents(world, Z, noise_seeds)
-    clean = _label_latents(world, Z, noise_seeds, label_noise=0.0)
+    # the noise layout: a flip per discrete label in schema order (hair, style, pose), then
+    # hair's resample draws, an index among the two classes it is not
+    rng = np.random.default_rng((cfg.seed, 1))
+    flips = rng.random((600, 3)) < world.config.label_noise
+    resample = rng.integers(2, size=600)
+    clean = _label_latents(world, Z)
+    read = {name: column.copy() for name, column in clean.items()}
+    read["hair"][flips[:, 0]] = np.where(resample < clean["hair"], resample,
+                                         resample + 1)[flips[:, 0]]
+    for j, name in ((1, "style"), (2, "pose")):
+        read[name][flips[:, j]] = 1 - clean[name][flips[:, j]]
     schema = {a.name: a for a in world.config.attributes}
     for _, _, labels, kwargs in calls:
         attr = schema[attribute[kwargs.get("positive_class", kwargs.get("class_names"))]]
@@ -620,14 +628,25 @@ def test_sweep_orthogonal_point_has_high_joint_accuracy():
     assert result.rows[0].joint_accuracy >= 0.95
 
 
-def test_sweep_collects_invalid_cosines():
+def test_sweep_collects_invalid_cosines(monkeypatch):
     cfg = SweepConfig(dim=16, seed=1, train=TrainingConfig(epochs=200, seed=1))
     result = sweep_entanglement([0.0, 1.2], trials=200, n_samples=800, cfg=cfg)
     assert len(result.rows) == 1
     assert len(result.errors) == 1 and result.errors[0][0] == 1.2
+    # settings that fail every run raise before the first
+    with pytest.raises(ValueError, match="^n_samples must be at least 100, got 50$"):
+        sweep_entanglement([0.0], trials=200, n_samples=50, cfg=cfg)
+
     # a run that raises is collected, not only a cosine outside (-1, 1)
-    result = sweep_entanglement([0.0], trials=200, n_samples=50, cfg=cfg)
-    assert result.rows == () and result.errors == ((0.0, "n_samples must be at least 100, got 50"),)
+    def second_run_fails(world, n_samples, train):
+        if train.seed == cfg.train.seed + 1:
+            raise UnlearnableAttributeError("attribute 'beta': no luck")
+        return run_training(world, n_samples, train)
+
+    monkeypatch.setattr(pipeline, "run_training", second_run_fails)
+    result = sweep_entanglement([0.0, 0.3], trials=200, n_samples=800, cfg=cfg)
+    assert [row.cosine for row in result.rows] == [0.0]
+    assert result.errors == ((0.3, "attribute 'beta': no luck"),)
 
 
 def test_sweep_empty_values_gives_header_only_csv():

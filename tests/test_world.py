@@ -22,7 +22,7 @@ from latentsteer import (
 )
 from latentsteer.pipeline import ROW_BLOCK
 from latentsteer.world import (BLOCK_SIZE, _block_means, _label_latents, _noise_draws,
-                               _pcg64_raw, _read_means, direction_slots)
+                               direction_slots)
 
 
 def simple_config(**overrides):
@@ -268,7 +268,7 @@ def test_non_finite_latents_are_rejected_before_rendering(bad):
     Z = sample_latents(3, world.latent_dim, 0).copy()
     Z[1, 4] = bad
     for render in (lambda: generate_image(world, Z[1]), lambda: render_batch(world, Z),
-                   lambda: _label_latents(world, Z, [0, 1, 2])):
+                   lambda: _label_latents(world, Z)):
         with pytest.raises(ValueError, match="NaN or Inf"):
             render()
 
@@ -411,7 +411,7 @@ def test_noisy_read_matches_scalar_reference_on_every_row(positions, p):
         for attr in world.config.attributes:
             if attr.is_discrete:
                 assert attr.classes[labels[attr.name][i]] == expected[attr.name]
-    # a resampled multiclass label is read by replaying the row's draws
+    # multiclass labels are resampled under seeds of one 32-bit word and of two
     for i in positions:
         resampled = labels[f"m{i}"] != clean[f"m{i}"]
         assert resampled[:300].any() and resampled[300:].any()
@@ -436,10 +436,10 @@ def noisy_reads(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(noisy_reads())
-def test_noise_drawn_ahead_reads_as_noise_drawn_by_the_read(case):
+def test_noise_draws_come_from_each_images_own_generator(case):
     world, Z, seeds = case
     p = world.config.label_noise
-    flips, others = draws = _noise_draws(world, seeds, p)
+    flips, others = _noise_draws(world, seeds, p)
     discrete = [a for a in world.config.attributes if a.is_discrete]
     assert flips.shape == others.shape == (len(Z), len(discrete))
     for i, seed in enumerate(seeds):  # each image's draws from its own generator, in order
@@ -449,21 +449,6 @@ def test_noise_drawn_ahead_reads_as_noise_drawn_by_the_read(case):
             assert flips[i, j] == flip
             assert others[i, j] == (rng.integers(len(attr.classes) - 1)
                                     if flip and attr.kind == "multiclass" else 0)
-    means = _block_means(world, Z)
-    ahead, drawn = _read_means(world, means, seeds, None, draws), _read_means(world, means, seeds,
-                                                                             None)
-    assert list(ahead) == list(drawn)
-    for name, column in ahead.items():
-        assert column.dtype == drawn[name].dtype and column.tobytes() == drawn[name].tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), max_size=40), st.integers(0, 5))
-def test_array_seeding_equals_numpys_pcg64(seeds, m):
-    seeds += [0, 1, 2**32 - 1, 2**32, 2**62, 2**63, 2**64 - 1]
-    expected = [np.random.PCG64(seed).random_raw(m) for seed in seeds]
-    raw = _pcg64_raw(np.array(seeds, dtype=np.uint64), m)
-    assert raw.dtype == np.uint64 and raw.tobytes() == np.array(expected, dtype=np.uint64).tobytes()
 
 
 def test_noisy_batch_with_seeds_beyond_uint64_reads_like_single_images():
@@ -475,6 +460,19 @@ def test_noisy_batch_with_seeds_beyond_uint64_reads_like_single_images():
         one = oracle_label(world, generate_image(world, z), seeds[i])
         assert all(a.classes[labels[a.name][i]] == one.discrete[a.name]
                    for a in world.config.attributes if a.is_discrete)
+
+
+def test_noisy_batch_with_per_image_seed_sequences_reads_like_single_images():
+    world = _world_with_multiclass_at((0, 4), 0.3)
+    Z = sample_latents(60, world.latent_dim, 5)
+    seeds = np.random.default_rng(6).integers(2**32, size=(len(Z), 3))  # one sequence per image
+    labels = read_batch(world, render_batch(world, Z), seeds)
+    clean = read_batch(world, render_batch(world, Z), seeds, label_noise=0.0)
+    for i, z in enumerate(Z):
+        one = oracle_label(world, generate_image(world, z), seeds[i])
+        assert all(a.classes[labels[a.name][i]] == one.discrete[a.name]
+                   for a in world.config.attributes if a.is_discrete)
+    assert any((labels[name] != clean[name]).any() for name in ("m0", "m4"))
 
 
 def test_read_rejects_a_noise_seed_count_unlike_the_image_count():
@@ -492,14 +490,12 @@ def test_labelling_render_leaves_only_the_texture_out():
     world = _world_with_multiclass_at((2,), 0.3)
     for n in (0, 1, 7, 256, 4000):
         Z = sample_latents(max(n, 1), world.latent_dim, n)[:n]
-        seeds = np.arange(n)
         full = render_batch(world, Z)
         blocks = full.reshape(n, BLOCK_SIZE, len(world.config.attributes) + 1, BLOCK_SIZE)[:, :, :-1]
         assert (blocks == _block_means(world, Z)[:, None, :, None]).all()
-        for p in (None, 0.0):
-            expected = read_batch(world, full, seeds, label_noise=p)
-            labels = _label_latents(world, Z, seeds, label_noise=p)
-            assert list(labels) == list(expected)
-            for name, column in labels.items():
-                assert column.dtype == expected[name].dtype
-                assert column.tobytes() == expected[name].tobytes()
+        expected = read_batch(world, full, np.arange(n), label_noise=0.0)
+        labels = _label_latents(world, Z)
+        assert list(labels) == list(expected)
+        for name, column in labels.items():
+            assert column.dtype == expected[name].dtype
+            assert column.tobytes() == expected[name].tobytes()
