@@ -20,8 +20,8 @@ reads, is rendered only where an image is returned.
 
 The oracle draws image i's label noise from its own default_rng(noise_seeds[i]),
 so an image reads the same alone or in a batch. Training labels are read
-noiselessly and take their noise as arrays from one generator per fit
-(`pipeline.run_training`), through the same `_add_noise`.
+noiselessly and take their noise as arrays from one generator per training
+run (`pipeline.run_training`), through the same `_add_noise`.
 """
 
 from __future__ import annotations
